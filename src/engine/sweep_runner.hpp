@@ -10,8 +10,8 @@
 // full sample matrix, a tidy long-format CSV (one row per observation:
 // scenario, churn, protocol, n, d, replication, seed, metric, value) and
 // a JSON summary. Dissemination metrics (completion, coverage, message
-// complexity) run the cell's protocol through the generic driver; flood
-// cells reproduce the plain flood driver bit for bit.
+// complexity) run the cell's protocol through the dissemination driver;
+// flood cells take its flood slot path.
 //
 // A sweep can additionally attach a metric-observer set (observe/,
 // DESIGN.md §6): SweepSpec::observers names it ("expansion(8)+spectral"),

@@ -1,4 +1,8 @@
-// Generic incremental flooding driver over any dynamic network model.
+// Flooding primitives over any dynamic network model: options, trace,
+// scratch, the per-model semantics types and the boundary scan. The one
+// step loop that uses them is disseminate_dynamic (protocols/
+// dissemination.hpp); flood_dynamic, declared there too, runs FloodProtocol
+// through it.
 //
 // One frontier algorithm serves every model (DESIGN.md, decision 6): a node
 // can only become informed through (a) an edge incident to a node informed
@@ -23,17 +27,13 @@
 //   * StaticFloodSemantics: synchronous flooding on a churn-free network
 //     (BFS rounds); the source is drawn uniformly since nobody is born.
 //
-// The driver installs its own network hooks for the duration of the call and
-// clears them on return; callers must not rely on hooks across a flood.
-//
 // All per-run state lives in a caller-supplied FloodScratch whose membership
 // sets are word-packed bitsets (common/bitset64.hpp, DESIGN.md "Frontier
-// representation"): repeated trials reuse the same allocations, clears are
-// O(words) streams with no epoch counters to wrap, and the receiver-dedup
-// commit is a fused AND-NOT word scan. The flood-only fast path additionally
-// works in raw slots (no generation loads) and can shard the boundary scan
-// across a worker pool (FloodOptions::intra_threads) with byte-identical
-// output at every thread count (common/intra.hpp).
+// representation"): repeated trials reuse the same allocations and clears
+// are O(words) streams with no epoch counters to wrap. The flood slot path
+// works in raw slots (no generation loads), shards the boundary scan across
+// a worker pool (FloodOptions::intra_threads) with byte-identical output at
+// every thread count (common/intra.hpp), and commits in O(candidates).
 #pragma once
 
 #include <algorithm>
@@ -102,21 +102,22 @@ struct CreatedEdge {
   NodeId target;
 };
 
-/// Reusable per-run state for the generic drivers. Membership sets (the
+/// Reusable per-run state for the dissemination driver. Membership sets (the
 /// informed set, the per-step candidate set, the per-interval death set)
 /// are slot-indexed Bitset64s: one bit per slot, trial reset = O(words)
 /// clear, no epoch counters. Membership is keyed by slot alone — exactly
-/// the stamp-array semantics this replaced: the drivers unmark on death
+/// the stamp-array semantics this replaced: the driver unmarks on death
 /// before a slot can be recycled, so a set bit always describes the slot's
 /// current occupant.
 ///
-/// Two candidate representations coexist. The protocol driver records
-/// (sender, receiver) NodeId pairs in `candidates` (propose order is
-/// load-bearing: commit order, stats, and on_informed indices follow it),
-/// with `mark_candidate` bits deduplicating receivers on the flood fast
-/// path. The flood driver skips the pair list entirely: receivers are
-/// candidate *bits* only, and commit_candidates() turns them into the next
-/// frontier with one fused AND-NOT word scan.
+/// Two candidate representations coexist, both in propose order (commit
+/// order, stats, and on_informed indices follow it). The generic protocol
+/// path records (sender, receiver) NodeId pairs in `candidates`; the flood
+/// slot path records raw slot pairs in `cand_pairs`. Under receiver
+/// dedup, a pair is recorded only when its receiver's candidate bit is
+/// first set, so either list names exactly the bits to clear in
+/// O(candidates); only a dense flood step, whose frontier is large next
+/// to the slot words, skips its list and clears by commit_candidates().
 class FloodScratch {
  public:
   using Word = Bitset64::Word;
@@ -152,7 +153,7 @@ class FloodScratch {
     ++informed_count_;
     return true;
   }
-  /// Slot variant for the flood fast path; the slot must be in range
+  /// Slot variant for the flood slot path; the slot must be in range
   /// (ensure_slots ran this step).
   bool mark_informed_slot(std::uint32_t slot) {
     if (!informed_.test_and_set(slot)) return false;
@@ -170,7 +171,7 @@ class FloodScratch {
 
   // ---- per-step candidate dedup (streaming semantics) ------------------
 
-  /// Starts a new proposal step for the protocol driver: clears the
+  /// Starts a new generic-path proposal step: clears the
   /// previous step's candidate marks (walking the recorded pairs — O(step
   /// candidates), not O(slots)) and the pair list itself.
   void begin_step() {
@@ -184,18 +185,18 @@ class FloodScratch {
     ensure(node.slot + 1);
     return candidate_.test_and_set(node.slot);
   }
-  /// Flood fast path: membership-only candidate mark (in-range slot —
-  /// ensure_slots ran this step). The atomic variant is for workers of a
-  /// sharded scan marking concurrently: bitwise OR commutes, so the
-  /// resulting set is exact for every interleaving.
-  void mark_candidate_slot(std::uint32_t slot) { candidate_.set(slot); }
-  void mark_candidate_slot_atomic(std::uint32_t slot) {
-    candidate_.set_atomic(slot);
+  /// Slot variants for the flood slot path (in-range slot — ensure_slots
+  /// ran this step): the mark returns true the first time `slot` is
+  /// proposed this step; the commit clears each mark it walks past.
+  bool mark_candidate_slot(std::uint32_t slot) {
+    return candidate_.test_and_set(slot);
   }
+  void clear_candidate_slot(std::uint32_t slot) { candidate_.reset(slot); }
 
-  /// Flood fast path commit: I_t gains (candidates AND NOT deaths) in one
-  /// word scan; newly informed slots are appended to `frontier_out` in
-  /// slot order and the candidate set is consumed (left empty).
+  /// Word-scan commit of a dense receiver-dedup step: I_t gains
+  /// (candidates AND NOT deaths); newly informed slots are appended to
+  /// `frontier_out` in slot order and every candidate mark is consumed.
+  /// O(slot_words()).
   void commit_candidates(std::vector<std::uint32_t>& frontier_out) {
     Word* cand = candidate_.words();
     const Word* dead = death_.words();
@@ -217,6 +218,7 @@ class FloodScratch {
       }
     }
   }
+  std::uint64_t slot_words() const { return candidate_.word_count(); }
 
   // ---- deaths during the current churn interval ------------------------
 
@@ -242,12 +244,11 @@ class FloodScratch {
   std::vector<CreatedEdge> created;
   std::vector<std::pair<NodeId, NodeId>> candidates;  // (sender, receiver)
 
-  // Flood fast-path buffers (slot-only mirrors of the above).
+  // Flood slot-path buffers (slot-only mirrors of the above).
   std::vector<std::uint32_t> frontier_slots;
   std::vector<std::uint32_t> neighbor_slots;
-  // (sender, receiver) slots under pair-survival semantics.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> cand_pairs;
-  // Sharded-scan buffers: per-chunk pair outputs (merged in chunk order)
+  // Sharded-scan buffers: per-chunk pair outputs (replayed in chunk order)
   // and per-worker neighbor staging.
   std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
       shard_pairs;
@@ -333,18 +334,19 @@ inline void record_step(FloodTrace& trace, const FloodOptions& options,
 
 /// Frontier chunk size for the sharded boundary scan. Fixed — never a
 /// function of the thread count — so chunk boundaries, per-chunk outputs,
-/// and the chunk-order merge are identical at every intra_threads value.
+/// and the chunk-order replay are identical at every intra_threads value.
 constexpr std::size_t kScanChunk = 4096;
 
-/// Scans the boundary of I_{t-1}: every uninformed neighbor of a frontier
-/// node becomes a candidate — a candidate bit under receiver-survival
-/// semantics, a (sender, receiver) slot pair under pair survival. Reads
-/// the graph and the informed set only; with intra > 1 the frontier is
-/// sharded over a worker pool (candidate bits commute; pairs are merged
-/// in chunk order, reproducing the sequential append order exactly).
-template <typename Semantics>
+/// Scans the boundary of I_{t-1}: calls consider(u, v) for every frontier
+/// node u and every uninformed neighbor v, in frontier order. Reads the
+/// graph and the informed set only. With intra > 1 and a frontier of
+/// several chunks, workers collect each chunk's (u, v) pairs in parallel
+/// and consider() replays them serially in chunk order — exactly the
+/// sequential call sequence, so whatever consider() records is
+/// byte-identical at every thread count.
+template <typename Consider>
 void scan_boundary(const DynamicGraph& graph, FloodScratch& scratch,
-                   unsigned intra) {
+                   unsigned intra, Consider&& consider) {
   const std::vector<std::uint32_t>& frontier = scratch.frontier_slots;
   const std::size_t chunk_count =
       (frontier.size() + kScanChunk - 1) / kScanChunk;
@@ -357,12 +359,7 @@ void scan_boundary(const DynamicGraph& graph, FloodScratch& scratch,
       neighbors.clear();
       graph.append_neighbor_slots(u, neighbors);
       for (const std::uint32_t v : neighbors) {
-        if (scratch.is_informed_slot(v)) continue;
-        if constexpr (Semantics::kPairCandidates) {
-          scratch.cand_pairs.emplace_back(u, v);
-        } else {
-          scratch.mark_candidate_slot(v);
-        }
+        if (!scratch.is_informed_slot(v)) consider(u, v);
       }
     }
     return;
@@ -373,18 +370,13 @@ void scan_boundary(const DynamicGraph& graph, FloodScratch& scratch,
   if (scratch.shard_neighbors.size() < workers) {
     scratch.shard_neighbors.resize(workers);
   }
-  if constexpr (Semantics::kPairCandidates) {
-    if (scratch.shard_pairs.size() < chunk_count) {
-      scratch.shard_pairs.resize(chunk_count);
-    }
+  if (scratch.shard_pairs.size() < chunk_count) {
+    scratch.shard_pairs.resize(chunk_count);
   }
   for_each_chunk(intra, chunk_count, [&](std::size_t c, unsigned worker) {
     auto& neighbors = scratch.shard_neighbors[worker];
-    std::vector<std::pair<std::uint32_t, std::uint32_t>>* pairs = nullptr;
-    if constexpr (Semantics::kPairCandidates) {
-      pairs = &scratch.shard_pairs[c];
-      pairs->clear();
-    }
+    auto& pairs = scratch.shard_pairs[c];
+    pairs.clear();
     const std::size_t begin = c * kScanChunk;
     const std::size_t end = std::min(frontier.size(), begin + kScanChunk);
     for (std::size_t i = begin; i < end; ++i) {
@@ -393,175 +385,15 @@ void scan_boundary(const DynamicGraph& graph, FloodScratch& scratch,
       neighbors.clear();
       graph.append_neighbor_slots(u, neighbors);
       for (const std::uint32_t v : neighbors) {
-        if (scratch.is_informed_slot(v)) continue;
-        if constexpr (Semantics::kPairCandidates) {
-          pairs->emplace_back(u, v);
-        } else {
-          scratch.mark_candidate_slot_atomic(v);
-        }
+        if (!scratch.is_informed_slot(v)) pairs.emplace_back(u, v);
       }
     }
   });
-  if constexpr (Semantics::kPairCandidates) {
-    for (std::size_t c = 0; c < chunk_count; ++c) {
-      const auto& pairs = scratch.shard_pairs[c];
-      scratch.cand_pairs.insert(scratch.cand_pairs.end(), pairs.begin(),
-                                pairs.end());
-    }
+  for (std::size_t c = 0; c < chunk_count; ++c) {
+    for (const auto& [u, v] : scratch.shard_pairs[c]) consider(u, v);
   }
 }
 
 }  // namespace detail_flood
-
-/// Runs one flooding process on `net` under its declared flood semantics
-/// (`Net::flood_semantics`). The network should be warmed up; it is advanced
-/// by one semantic step per flooding step. All allocations are reused across
-/// calls through `scratch`.
-template <typename Net>
-FloodTrace flood_dynamic(Net& net, const FloodOptions& options,
-                         FloodScratch& scratch) {
-  using Semantics = typename Net::flood_semantics;
-  const telemetry::PhaseTimer phase_span(telemetry::Phase::kDissemination);
-  FloodTrace trace;
-  scratch.begin_trial(net.graph().slot_upper_bound());
-  const unsigned intra = effective_intra_threads(options.intra_threads);
-
-  NodeId source = kInvalidNode;
-  NetworkHooks hooks;
-  hooks.on_birth = [&source](NodeId node, double) {
-    if (!source.valid()) source = node;
-  };
-  hooks.on_edge_created = [&scratch](NodeId owner, std::uint32_t,
-                                     NodeId target, bool, double) {
-    scratch.created.push_back({owner, target});
-  };
-  hooks.on_death = [&scratch](NodeId node, double) {
-    scratch.note_death(node);
-  };
-  net.set_hooks(std::move(hooks));
-
-  if constexpr (Semantics::kSourceIsNewborn) {
-    // Advance to the next birth: that newborn is the source (the paper's
-    // convention: flooding starts from the node joining at time t0).
-    while (!source.valid()) net.step();
-  } else {
-    CHURNET_EXPECTS(net.graph().alive_count() > 0);
-    source = net.graph().random_alive(net.rng());
-  }
-  // The source's own birth edges are covered by the frontier.
-  scratch.created.clear();
-  scratch.clear_deaths();
-  scratch.mark_informed(source);
-  scratch.frontier_slots.push_back(source.slot);
-
-  trace.peak_informed = 1;
-  detail_flood::record_step(trace, options, 1, net.graph().alive_count());
-
-  for (std::uint64_t step = 1; step <= options.max_steps; ++step) {
-    const DynamicGraph& graph = net.graph();
-    // Serial point: no resize may happen inside the sharded scan.
-    scratch.ensure_slots(graph.slot_upper_bound());
-
-    // Boundary of I_{t-1} in G_{t-1}, examined incrementally. Under
-    // pair-candidate semantics every (sender, receiver) pair is kept (any
-    // surviving sender suffices); otherwise receivers are deduplicated as
-    // candidate bits.
-    if constexpr (Semantics::kPairCandidates) scratch.cand_pairs.clear();
-    detail_flood::scan_boundary<Semantics>(graph, scratch, intra);
-    for (const CreatedEdge& edge : scratch.created) {
-      // An edge created in the previous interval counts from now on,
-      // provided it still exists (both endpoints alive).
-      if (!graph.is_alive(edge.owner) || !graph.is_alive(edge.target)) {
-        continue;
-      }
-      const bool owner_informed = scratch.is_informed_slot(edge.owner.slot);
-      const bool target_informed =
-          scratch.is_informed_slot(edge.target.slot);
-      std::uint32_t sender = 0;
-      std::uint32_t receiver = 0;
-      if (owner_informed && !target_informed) {
-        sender = edge.owner.slot;
-        receiver = edge.target.slot;
-      } else if (target_informed && !owner_informed) {
-        sender = edge.target.slot;
-        receiver = edge.owner.slot;
-      } else {
-        continue;
-      }
-      if constexpr (Semantics::kPairCandidates) {
-        scratch.cand_pairs.emplace_back(sender, receiver);
-      } else {
-        scratch.mark_candidate_slot(receiver);
-      }
-    }
-    scratch.created.clear();
-    scratch.clear_deaths();
-
-    // One semantic step of churn; hooks record deaths and new edges.
-    Semantics::advance(net);
-
-    for (const NodeId dead : scratch.deaths()) {
-      scratch.unmark_informed(dead);
-    }
-
-    // I_t = (I_{t-1} ∪ ∂(I_{t-1})) ∩ N_t.
-    scratch.frontier_slots.clear();
-    if constexpr (Semantics::kPairCandidates) {
-      for (const auto& [u, v] : scratch.cand_pairs) {
-        if (scratch.died_this_step_slot(u) ||
-            scratch.died_this_step_slot(v)) {
-          continue;
-        }
-        CHURNET_ASSERT(net.graph().slot_alive(v));
-        if (scratch.mark_informed_slot(v)) scratch.frontier_slots.push_back(v);
-      }
-    } else {
-      // The interval's deaths are subtracted word-wise: a newborn reusing
-      // a victim's slot is filtered exactly like the stamp path filtered
-      // it via the generation mismatch.
-      scratch.commit_candidates(scratch.frontier_slots);
-    }
-
-    trace.steps = step;
-    const std::uint64_t informed_count = scratch.informed_count();
-    const std::uint64_t alive_count = net.graph().alive_count();
-    trace.peak_informed = std::max(trace.peak_informed, informed_count);
-    detail_flood::record_step(trace, options, informed_count, alive_count);
-    trace.final_fraction = alive_count == 0
-                               ? 0.0
-                               : static_cast<double>(informed_count) /
-                                     static_cast<double>(alive_count);
-
-    if (Semantics::completed(informed_count, alive_count)) {
-      trace.completed = true;
-      trace.completion_step = step;
-      break;
-    }
-    if (informed_count == 0) {
-      trace.died_out = true;
-      trace.die_out_step = step;
-      if (options.stop_on_die_out) break;
-    }
-    if (options.stop_at_fraction < 1.0 &&
-        trace.final_fraction >= options.stop_at_fraction) {
-      break;
-    }
-    if constexpr (Semantics::kChurnFree) {
-      // No churn can ever create a new boundary edge: an empty frontier is
-      // a fixed point (the graph's reachable set is exhausted, BFS-style).
-      if (scratch.frontier_slots.empty()) break;
-    }
-  }
-
-  net.set_hooks({});
-  return trace;
-}
-
-/// Convenience overload with a private (per-call) scratch.
-template <typename Net>
-FloodTrace flood_dynamic(Net& net, const FloodOptions& options = {}) {
-  FloodScratch scratch;
-  return flood_dynamic(net, options, scratch);
-}
 
 }  // namespace churnet

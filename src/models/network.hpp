@@ -9,8 +9,9 @@
 //
 // AnyNetwork type-erases the concept for runtime scenario selection (the
 // ScenarioRegistry hands out AnyNetwork instances chosen by name). It also
-// carries the model's flooding semantics, so `AnyNetwork::flood` runs the
-// generic frontier driver on whatever model is inside. The observation
+// carries the model's flooding semantics, so `AnyNetwork::flood` and
+// `AnyNetwork::disseminate` run the one dissemination driver
+// (protocols/dissemination.hpp) on whatever model is inside. The observation
 // pipeline (observe/pipeline.hpp) drives this same surface — step() for
 // window rounds, snapshot() for the shared snapshot, flood()/disseminate()
 // for coverage observers — so metric observers attach to every model,
@@ -53,7 +54,8 @@ concept DynamicNetwork = requires(Net& net, const Net& cnet, double time,
 };
 
 /// A DynamicNetwork that additionally declares flooding semantics for the
-/// generic driver (flooding/flood_driver.hpp) — what AnyNetwork can wrap.
+/// dissemination driver (protocols/dissemination.hpp) — what AnyNetwork
+/// can wrap.
 template <typename Net>
 concept FloodableNetwork =
     DynamicNetwork<Net> && requires { typename Net::flood_semantics; };
@@ -62,8 +64,8 @@ concept FloodableNetwork =
 ///
 /// Owns the wrapped model. Satisfies DynamicNetwork itself, so generic code
 /// written against the concept runs unchanged on an AnyNetwork; flooding
-/// goes through `flood()`, which dispatches to the generic driver under the
-/// wrapped model's semantics.
+/// goes through `flood()`, which dispatches to the dissemination driver
+/// under the wrapped model's semantics.
 class AnyNetwork {
  public:
   AnyNetwork() = default;
@@ -87,7 +89,8 @@ class AnyNetwork {
   double now() const { return checked().now(); }
   Snapshot snapshot() const { return checked().snapshot(); }
 
-  /// Runs the wrapped model's flooding process via the generic driver.
+  /// Runs the wrapped model's flooding process (FloodProtocol through the
+  /// dissemination driver).
   FloodTrace flood(const FloodOptions& options, FloodScratch& scratch) {
     return checked().flood(options, scratch);
   }
@@ -96,8 +99,8 @@ class AnyNetwork {
     return flood(options, scratch);
   }
 
-  /// Runs `protocol` on the wrapped model via the generic dissemination
-  /// driver, under the model's own flood semantics (protocols/).
+  /// Runs `protocol` on the wrapped model via the dissemination driver,
+  /// under the model's own flood semantics (protocols/).
   ProtocolResult disseminate(DisseminationProtocol& protocol,
                              const ProtocolOptions& options,
                              ProtocolScratch& scratch) {
@@ -163,6 +166,10 @@ class AnyNetwork {
     ProtocolResult disseminate(DisseminationProtocol& protocol,
                                const ProtocolOptions& options,
                                ProtocolScratch& scratch) override {
+      // The flood slot path is chosen by static type: recover it once.
+      if (auto* flood = dynamic_cast<FloodProtocol*>(&protocol)) {
+        return disseminate_dynamic(net, *flood, options, scratch);
+      }
       return disseminate_dynamic(net, protocol, options, scratch);
     }
 

@@ -54,7 +54,7 @@ struct PoissonConfig {
 
 class PoissonNetwork {
  public:
-  /// Flooding semantics under the generic driver (paper Def. 4.3).
+  /// Flooding semantics under the dissemination driver (paper Def. 4.3).
   using flood_semantics = DiscretizedFloodSemantics;
 
   explicit PoissonNetwork(PoissonConfig config);

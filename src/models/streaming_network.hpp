@@ -50,7 +50,7 @@ struct StreamingConfig {
 
 class StreamingNetwork {
  public:
-  /// Flooding semantics under the generic driver (paper Def. 3.3).
+  /// Flooding semantics under the dissemination driver (paper Def. 3.3).
   using flood_semantics = StreamingFloodSemantics;
 
   explicit StreamingNetwork(StreamingConfig config);

@@ -30,11 +30,16 @@ struct WiringLimits {
 /// Arena reservation hint for continuous-churn models: the stationary
 /// population lambda/mu plus four standard deviations of headroom (the
 /// M/G/inf stationary size is Poisson(lambda/mu)), so steady-state pool
-/// growth is a rare tail event.
+/// growth is a rare tail event. Clamped to kMaxReserveHint: the arena grows
+/// past a reserve on demand, so a huge rate ratio must not pre-allocate
+/// (or overflow the uint32_t cast).
+inline constexpr std::uint32_t kMaxReserveHint = 1u << 20;
+
 inline std::uint32_t stationary_reserve_hint(double lambda, double mu) {
   const double expected = lambda / mu;
-  return static_cast<std::uint32_t>(expected + 4.0 * std::sqrt(expected) +
-                                    8.0);
+  const double hint = expected + 4.0 * std::sqrt(expected) + 8.0;
+  return hint < kMaxReserveHint ? static_cast<std::uint32_t>(hint)
+                                : kMaxReserveHint;
 }
 
 }  // namespace churnet

@@ -17,10 +17,10 @@ constexpr std::size_t kProposeChunk = 4096;
 /// The flood boundary scan shared by FloodProtocol and TtlFloodProtocol:
 /// frontier nodes (filtered by `forwards`) offer to every uninformed
 /// neighbor, then edges created during the previous interval with exactly
-/// one informed (and forwarding) endpoint offer across. This is verbatim
-/// the candidate generation of flood_dynamic — the equivalence tests pin
-/// it bit-for-bit. `send(u, v)` performs the actual emission, so TTL can
-/// attach hop payloads to recorded candidates.
+/// one informed (and forwarding) endpoint offer across — the candidate
+/// generation of the driver's flood slot path in NodeIds; the equivalence
+/// tests pin the two against each other. `send(u, v)` performs the actual
+/// emission, so TTL can attach hop payloads to recorded candidates.
 ///
 /// With view.intra_threads() > 1 and a large frontier, the frontier scan
 /// shards into fixed-size chunks: workers collect (sender, receiver)

@@ -1,8 +1,8 @@
 // Concrete dissemination protocols (protocols/protocol.hpp):
 //
-//   FloodProtocol      full flooding — the paper's process re-expressed
-//                      through the protocol layer; bit-identical to
-//                      flooding/flood_driver.hpp (the degenerate case)
+//   FloodProtocol      full flooding — the paper's process; the driver
+//                      runs it on its flood slot path
+//                      (protocols/dissemination.hpp)
 //   TtlFloodProtocol   hop-bounded flooding: a node informed at hop h
 //                      forwards only while h < ttl (ttl -> inf == flood)
 //   PushProtocol       PUSH gossip: every informed node sends to `fanout`
@@ -34,8 +34,11 @@
 namespace churnet {
 
 /// Full flooding: every informed node offers the rumor over every incident
-/// edge, incrementally via the frontier + created-edge state.
-class FloodProtocol : public DisseminationProtocol {
+/// edge, incrementally via the frontier + created-edge state. Final, so a
+/// FloodProtocol static type always means this exact protocol: the driver
+/// then bypasses propose() for its flood slot path. propose() serves
+/// callers that hold it as a DisseminationProtocol (the lossy wrapper).
+class FloodProtocol final : public DisseminationProtocol {
  public:
   std::string name() const override { return "flood"; }
   void propose(StepView& view) override;

@@ -2,15 +2,14 @@
 // dynamic network, generalized from full flooding the same way ChurnProcess
 // generalized churn (DESIGN.md, "Protocol layer").
 //
-// The generic driver (protocols/dissemination.hpp) owns the step loop —
+// The driver (protocols/dissemination.hpp) owns the one step loop —
 // advance the network one semantic step, track deaths and fresh edges,
-// commit surviving deliveries, test completion — exactly as the flood
-// driver does. What differs between protocols is *which messages are
-// offered each step*: a DisseminationProtocol's propose() emits this
-// step's (sender, receiver) transmission attempts through a StepView, and
-// the driver does the rest. Full flooding re-expressed this way is proven
-// bit-identical to flooding/flood_driver.hpp
-// (tests/test_protocol_equivalence.cpp).
+// commit surviving deliveries, test completion. What differs between
+// protocols is *which messages are offered each step*: a
+// DisseminationProtocol's propose() emits this step's (sender, receiver)
+// transmission attempts through a StepView, and the driver does the rest.
+// FloodProtocol alone skips propose() for the driver's flood slot path,
+// which yields the same trace and stats (tests/test_protocol_equivalence.cpp).
 //
 // Message accounting: every send() is one rumor-bearing transmission
 // attempt (messages_sent). A lossy link may drop it (lost_messages); a
@@ -18,9 +17,9 @@
 // (useful_deliveries) or is wasted on an already-informed one
 // (duplicate_deliveries). Protocols that probe without carrying the rumor
 // (PULL contacting an uninformed neighbor) count those probes as
-// overhead_messages. Under the flood fast path (receiver-deduplicated
-// streaming semantics, lossless), duplicate boundary messages are
-// suppressed at propose time and accounted directly as
+// overhead_messages. Under receiver dedup (receiver-survival semantics,
+// a dedup_receivers() protocol, a lossless link), duplicate boundary
+// messages are suppressed at propose time and accounted directly as
 // duplicate_deliveries — the informed sets are unchanged, only the
 // per-message survival check is elided (see dissemination.hpp).
 //
@@ -169,7 +168,8 @@ class StepView {
   }
 
   /// Offers one rumor transmission sender -> receiver. Applies the lossy
-  /// coin and (on the lossless flood fast path) receiver deduplication.
+  /// coin and (under lossless receiver-survival dedup) receiver
+  /// deduplication.
   /// Returns true iff a delivery candidate was recorded — exactly then the
   /// candidate index protocols see in on_informed advances by one.
   bool send(NodeId sender, NodeId receiver) {

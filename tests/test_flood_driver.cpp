@@ -1,6 +1,6 @@
-// Equivalence tests for the generic flooding driver (flood_driver.hpp):
-// flood_streaming / flood_poisson_discretized (now thin wrappers over
-// flood_dynamic) must reproduce the seed repo's dedicated drivers
+// Equivalence tests for the flooding entry point flood_dynamic
+// (protocols/dissemination.hpp): it must reproduce the seed repo's
+// dedicated drivers flood_streaming / flood_poisson_discretized
 // bit-for-bit at fixed seeds. The reference implementations below are
 // verbatim copies of those seed drivers (unordered_set bookkeeping, no
 // scratch reuse); the traces — full per-step series included — must match
@@ -240,7 +240,7 @@ TEST(FloodDriver, MatchesSeedStreamingDriverBitForBit) {
 
       StreamingNetwork net(config);
       net.warm_up();
-      const FloodTrace actual = flood_streaming(net);
+      const FloodTrace actual = flood_dynamic(net);
 
       SCOPED_TRACE(testing::Message()
                    << "policy=" << static_cast<int>(policy)
@@ -263,7 +263,7 @@ TEST(FloodDriver, MatchesSeedPoissonDriverBitForBit) {
 
       PoissonNetwork net(config);
       net.warm_up(5.0);
-      const FloodTrace actual = flood_poisson_discretized(net, {});
+      const FloodTrace actual = flood_dynamic(net, {});
 
       SCOPED_TRACE(testing::Message()
                    << "policy=" << static_cast<int>(policy)
@@ -288,7 +288,7 @@ TEST(FloodDriver, MatchesSeedDriversWithEarlyStopOptions) {
   StreamingNetwork snet(sconfig);
   snet.warm_up();
   expect_traces_identical(seed_flood_streaming(sref, options),
-                          flood_streaming(snet, options));
+                          flood_dynamic(snet, options));
 
   const auto pconfig =
       PoissonConfig::with_n(500, 12, EdgePolicy::kRegenerate, 42);
@@ -297,7 +297,7 @@ TEST(FloodDriver, MatchesSeedDriversWithEarlyStopOptions) {
   PoissonNetwork pnet(pconfig);
   pnet.warm_up(5.0);
   expect_traces_identical(seed_flood_poisson_discretized(pref, options),
-                          flood_poisson_discretized(pnet, options));
+                          flood_dynamic(pnet, options));
 }
 
 TEST(FloodDriver, ScratchReuseAcrossTrialsDoesNotChangeTraces) {
@@ -311,11 +311,11 @@ TEST(FloodDriver, ScratchReuseAcrossTrialsDoesNotChangeTraces) {
 
     StreamingNetwork fresh(config);
     fresh.warm_up();
-    const FloodTrace expected = flood_streaming(fresh, {});
+    const FloodTrace expected = flood_dynamic(fresh, {});
 
     StreamingNetwork reused(config);
     reused.warm_up();
-    const FloodTrace actual = flood_streaming(reused, {}, scratch);
+    const FloodTrace actual = flood_dynamic(reused, {}, scratch);
     expect_traces_identical(expected, actual);
   }
   // Mixing models through the same scratch is fine too.
@@ -325,8 +325,8 @@ TEST(FloodDriver, ScratchReuseAcrossTrialsDoesNotChangeTraces) {
   PoissonNetwork pref(PoissonConfig::with_n(300, 35, EdgePolicy::kRegenerate,
                                             5));
   pref.warm_up(5.0);
-  expect_traces_identical(flood_poisson_discretized(pref, {}),
-                          flood_poisson_discretized(pnet, {}, scratch));
+  expect_traces_identical(flood_dynamic(pref, {}),
+                          flood_dynamic(pnet, {}, scratch));
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST(AnyNetwork, FloodMatchesTypedDriver) {
                                             21);
   PoissonNetwork typed(config);
   typed.warm_up(5.0);
-  const FloodTrace expected = flood_poisson_discretized(typed, {});
+  const FloodTrace expected = flood_dynamic(typed, {});
 
   // Advance the erased network exactly like `typed` (warm_up(5.0) via
   // typed access; the erased warm_up() would run 10 expected lifetimes).

@@ -1,10 +1,11 @@
 // The tentpole proof for the protocol layer: full flooding expressed
 // through the DisseminationProtocol path (protocols/dissemination.hpp +
-// FloodProtocol) must be bit-identical to the pre-existing flood driver
-// (flooding/flood_driver.hpp) — same event sequence (per-step informed and
-// alive counts), same terminal state, and the same informed set — on all
-// four paper scenarios (streaming Def. 3.3 and discretized Def. 4.3
-// semantics) and on the churn-free baselines (BFS semantics).
+// FloodProtocol) must be bit-identical to an independent flood driver —
+// the verbatim pre-bitset driver in legacy_flood_driver.hpp — with the
+// same event sequence (per-step informed and alive counts), same terminal
+// state, and the same informed set, on all four paper scenarios
+// (streaming Def. 3.3 and discretized Def. 4.3 semantics) and on the
+// churn-free baselines (BFS semantics).
 //
 // The comparison is exact equality, never tolerance: the two drivers run
 // on two networks built from the same seed, which evolve identically
@@ -15,9 +16,24 @@
 #include <string>
 
 #include "churnet/churnet.hpp"
+#include "legacy_flood_driver.hpp"
 
 namespace churnet {
 namespace {
+
+/// Runs the legacy reference driver on the typed model inside `net`.
+FloodTrace legacy_flood(AnyNetwork& net, const FloodOptions& options,
+                        LegacyFloodScratch& scratch) {
+  if (auto* streaming = net.get_if<StreamingNetwork>()) {
+    return legacy_flood_dynamic(*streaming, options, scratch);
+  }
+  if (auto* poisson = net.get_if<PoissonNetwork>()) {
+    return legacy_flood_dynamic(*poisson, options, scratch);
+  }
+  auto* baseline = net.get_if<StaticNetwork>();
+  CHURNET_EXPECTS(baseline != nullptr);
+  return legacy_flood_dynamic(*baseline, options, scratch);
+}
 
 struct EquivalenceParam {
   const char* scenario;
@@ -54,9 +70,9 @@ TEST_P(ProtocolFloodEquivalence, FloodProtocolMatchesFloodDriverBitForBit) {
   flood_options.stop_on_die_out = true;
 
   AnyNetwork reference_net = scenario.make_warmed(params);
-  FloodScratch reference_scratch;
+  LegacyFloodScratch reference_scratch;
   const FloodTrace reference =
-      reference_net.flood(flood_options, reference_scratch);
+      legacy_flood(reference_net, flood_options, reference_scratch);
 
   AnyNetwork protocol_net = scenario.make_warmed(params);
   FloodProtocol protocol;

@@ -136,5 +136,17 @@ TEST(Wiring, InitialRequestsWithTightCapLeaveDangling) {
   EXPECT_EQ(graph.in_degree(a), 2u);
 }
 
+TEST(Wiring, StationaryReserveHintIsBoundedForHugeRateRatios) {
+  // Below the ceiling the hint is lambda/mu + 4 sd + 8, as before.
+  EXPECT_EQ(stationary_reserve_hint(1000.0, 1.0), 1134u);
+  // lambda/mu = 1e9 used to reserve ~32 GB; >= 2^32 overflowed the cast.
+  for (const double ratio : {1e9, 1e12}) {
+    EXPECT_EQ(stationary_reserve_hint(ratio, 1.0), kMaxReserveHint) << ratio;
+    EXPECT_EQ(stationary_reserve_hint(1.0, 1.0 / ratio), kMaxReserveHint)
+        << ratio;
+  }
+  EXPECT_EQ(stationary_reserve_hint(1e-9, 1e-19), kMaxReserveHint);
+}
+
 }  // namespace
 }  // namespace churnet
