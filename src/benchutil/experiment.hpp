@@ -78,7 +78,7 @@ std::string verdict(bool pass);
 // the log is written on flush_result_output() — also registered atexit, so
 // existing benches persist results with zero code changes:
 //
-//   ./bench_flooding_time --csv results.csv --json results.json
+//   ./bench_flooding_coverage --csv results.csv --json results.json
 //
 // The CSV is tidy long format (label,stream,replication,seed,metric,value,
 // one row per observation); the JSON is an array of labeled TrialRunner

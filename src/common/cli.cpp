@@ -1,11 +1,30 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/assertx.hpp"
 
 namespace churnet {
+namespace {
+
+/// True when `value` is entirely one integer (or floating-point number):
+/// no trailing garbage, no overflow.
+bool parses_completely(const std::string& value, bool integer) {
+  if (value.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  if (integer) {
+    (void)std::strtoll(value.c_str(), &end, 10);
+  } else {
+    (void)std::strtod(value.c_str(), &end);
+  }
+  return errno == 0 && *end == '\0';
+}
+
+}  // namespace
 
 Cli::Cli(std::string program_doc) : program_doc_(std::move(program_doc)) {}
 
@@ -71,6 +90,15 @@ bool Cli::parse(int argc, const char* const* argv) {
       }
       value = argv[++i];
     }
+    const Kind kind = it->second.kind;
+    if ((kind == Kind::kInt || kind == Kind::kDouble) &&
+        !parses_completely(value, kind == Kind::kInt)) {
+      std::fprintf(stderr, "option '--%s' expects %s, got '%s'\n",
+                   arg.c_str(),
+                   kind == Kind::kInt ? "an integer" : "a number",
+                   value.c_str());
+      std::exit(2);
+    }
     it->second.value = value;
   }
   return true;
@@ -78,6 +106,16 @@ bool Cli::parse(int argc, const char* const* argv) {
 
 std::int64_t Cli::get_int(const std::string& name) const {
   return std::strtoll(find(name, Kind::kInt).value.c_str(), nullptr, 10);
+}
+
+unsigned Cli::get_count(const std::string& name) const {
+  const std::int64_t value = get_int(name);
+  if (value < 0 || value > std::numeric_limits<unsigned>::max()) {
+    std::fprintf(stderr, "option '--%s' must be a count >= 0, got %lld\n",
+                 name.c_str(), static_cast<long long>(value));
+    std::exit(2);
+  }
+  return static_cast<unsigned>(value);
 }
 
 double Cli::get_double(const std::string& name) const {

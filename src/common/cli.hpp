@@ -32,10 +32,15 @@ class Cli {
   void add_flag(const std::string& name, const std::string& doc);
 
   /// Parses argv. On --help prints usage and returns false (caller should
-  /// exit 0). On malformed/unknown arguments prints usage and aborts.
+  /// exit 0). Unknown options, and int/double values that do not parse
+  /// completely ("abc", "4x", out of range), print a diagnostic and exit 2.
   bool parse(int argc, const char* const* argv);
 
   std::int64_t get_int(const std::string& name) const;
+  /// An int option used as a count (threads, workers): prints a
+  /// diagnostic and exits 2 when the value is negative or exceeds
+  /// unsigned range, instead of wrapping.
+  unsigned get_count(const std::string& name) const;
   double get_double(const std::string& name) const;
   const std::string& get_string(const std::string& name) const;
   bool get_flag(const std::string& name) const;

@@ -330,17 +330,6 @@ const OnlineStats& SweepResult::stats(std::size_t cell,
   return stats_[cell][metric];
 }
 
-TrialResult SweepResult::cell_trial(std::size_t cell) const {
-  CHURNET_EXPECTS(cell < cells_.size());
-  TrialRunnerOptions options;
-  options.replications = spec_.replications;
-  options.threads = threads_used_;
-  options.base_seed = spec_.base_seed;
-  options.stream = cell;
-  return TrialResult(options, metric_names_, samples_[cell], wall_seconds_,
-                     threads_used_);
-}
-
 Table SweepResult::to_table() const {
   std::vector<std::string> header{"scenario", "churn", "protocol", "n", "d"};
   for (const std::string& metric : metric_names_) header.push_back(metric);

@@ -397,7 +397,11 @@ SweepResult SweepService::run(const ScenarioRegistry& registry,
       options_.threads == 0
           ? std::max(1u, std::thread::hardware_concurrency())
           : options_.threads;
-  const unsigned width = forked ? options_.workers : std::max(1u, threads);
+  // Never fork more workers than there are jobs to hand out.
+  const unsigned width =
+      forked ? static_cast<unsigned>(std::min<std::uint64_t>(
+                   options_.workers, pending.size()))
+             : std::max(1u, threads);
 
   std::uint64_t batch = options_.batch;
   if (batch == 0) {
@@ -447,8 +451,7 @@ SweepResult SweepService::run(const ScenarioRegistry& registry,
 
   if (!pending.empty()) {
     if (forked) {
-      run_workers(plan, pending, options_.workers, batch, options_,
-                  complete);
+      run_workers(plan, pending, width, batch, options_, complete);
     } else {
       run_pool(plan, pending, threads, complete);
     }

@@ -1,9 +1,10 @@
 // Concrete metric observers wrapping the existing analyses (expansion/,
 // graph/algorithms, flooding traces) behind the MetricObserver interface.
 // Each one is the measurement previously hand-rolled inside a bench binary
-// (bench_expansion_*, bench_spectral_gap, bench_isolated_nodes, the
-// coverage benches), now attachable to any churn / flood / protocol run —
-// the benches call these directly and sweeps attach them via ObserverSpec.
+// (bench_expansion_large_sets, bench_isolated_nodes, the coverage benches),
+// now attachable to any churn / flood / protocol run — the benches call
+// these directly, and sweeps (churnet_sweep, churnet_repro's targets and
+// their verdicts) attach them via ObserverSpec.
 //
 // Seeding parity with the pre-port bench loops: begin_trial(s) seeds the
 // observer RNG as Rng(s) — exactly how the benches seeded their probe /

@@ -105,6 +105,24 @@ TEST(SweepService, WorkerProcessesMatchInProcessByteIdentical) {
   EXPECT_EQ(json_of(one), json_of(four));
 }
 
+TEST(SweepService, NeverForksMoreWorkersThanJobs) {
+  SweepSpec spec = small_spec();
+  spec.replications = 3;
+
+  SweepServiceOptions in_process;
+  const SweepResult one = SweepService(spec, in_process).run();
+
+  SweepServiceOptions forked;
+  forked.workers = 8;
+  SweepServiceReport report;
+  const SweepResult clamped =
+      SweepService(spec, forked).run(ScenarioRegistry::extended(), &report);
+
+  EXPECT_LE(report.workers_used, 3u);
+  EXPECT_EQ(report.jobs_run, 3u);
+  EXPECT_EQ(csv_of(one), csv_of(clamped));
+}
+
 TEST(SweepService, StreamsOneRowPerJobBetweenHeaderAndFooter) {
   const SweepSpec spec = small_spec();
   std::ostringstream stream;

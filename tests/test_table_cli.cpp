@@ -112,5 +112,42 @@ TEST_F(CliTest, NegativeNumbersParse) {
   EXPECT_EQ(cli.get_int("n"), -5);
 }
 
+TEST_F(CliTest, RejectsValuesThatDoNotParseCompletely) {
+  for (const char* bad : {"abc", "4x", "", "1.5", "99999999999999999999"}) {
+    Cli cli = make_cli();
+    const char* argv[] = {"prog", "--n", bad};
+    EXPECT_EXIT(cli.parse(3, argv), ::testing::ExitedWithCode(2),
+                "expects an integer")
+        << bad;
+  }
+  for (const char* bad : {"fast", "0.5.1", "--1", ""}) {
+    Cli cli = make_cli();
+    const char* argv[] = {"prog", "--rate", bad};
+    EXPECT_EXIT(cli.parse(3, argv), ::testing::ExitedWithCode(2),
+                "expects a number")
+        << bad;
+  }
+}
+
+TEST_F(CliTest, AcceptsWholeNumbersOfEveryForm) {
+  Cli cli = make_cli();
+  const char* argv[] = {"prog", "--n=+12", "--rate", "-2.5e-1"};
+  EXPECT_TRUE(cli.parse(4, argv));
+  EXPECT_EQ(cli.get_int("n"), 12);
+  EXPECT_DOUBLE_EQ(cli.get_double("rate"), -0.25);
+}
+
+TEST_F(CliTest, CountRejectsNegativeValues) {
+  Cli cli = make_cli();
+  const char* argv[] = {"prog", "--n", "-1"};
+  ASSERT_TRUE(cli.parse(3, argv));
+  EXPECT_EXIT((void)cli.get_count("n"), ::testing::ExitedWithCode(2),
+              "must be a count >= 0, got -1");
+  Cli ok = make_cli();
+  const char* argv_ok[] = {"prog", "--n", "4"};
+  ASSERT_TRUE(ok.parse(3, argv_ok));
+  EXPECT_EQ(ok.get_count("n"), 4u);
+}
+
 }  // namespace
 }  // namespace churnet

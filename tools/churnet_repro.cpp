@@ -1,29 +1,31 @@
-// churnet_repro: one command per paper table/figure.
+// churnet_repro: one command per paper table/figure, and the check that
+// the paper's claims hold on the data.
 //
 // Every headline measurement of "Expansion and Flooding in Dynamic Random
 // Networks with Node Churn" (ICDCS 2021) is a declarative sweep + observer
-// set registered here by name. Running a target regenerates its dataset as
-// tidy long-format CSV (one row per observation) plus a JSON summary and a
-// manifest (seed, git sha, cell count, resolved spec) under --out, so a
-// figure is always `churnet_repro --only <target>` away from its data.
+// set registered by name in engine/repro_targets.hpp. Running a target
+// regenerates its dataset as tidy long-format CSV (one row per
+// observation) plus a JSON summary and a manifest (seed, git sha, cell
+// count, resolved spec, verdicts) under --out, so a figure is always
+// `churnet_repro --only <target>` away from its data.
 //
 //   ./churnet_repro --list                 # every target, with its paper ref
 //   ./churnet_repro                        # reproduce everything (slow!)
 //   ./churnet_repro --only table1,spectral-gap --threads 8
-//   ./churnet_repro --quick --only spectral-gap   # pinned-seed smoke subset
+//   ./churnet_repro --quick                # pinned small-scale variants
 //   ./churnet_repro --workers 4 --checkpoint ckpt/   # forked workers +
 //   ./churnet_repro --workers 4 --checkpoint ckpt/ --resume  # crash-resume
 //
-// --quick swaps each target for its pinned small-scale variant: the same
-// grid shape at toy sizes, bit-identical for a fixed seed at any --threads
-// (CI diffs one quick target against a checked-in golden CSV and cmp's a
-// 1-thread run against an 8-thread run).
+// After each target is written, its verdicts (paper claim vs measured
+// value) print as PASS, FAIL or n/a and go into its manifest. Once every
+// selected target has been written the tool exits 1 if any verdict
+// failed, so `churnet_repro --quick` is the continuously checked form of
+// the paper's Table 1.
 //
-// Determinism: a target's CSV is a pure function of (target, seed,
-// scale). Cell c replication r of a target runs under derive_seed(seed, c,
-// r) exactly as churnet_sweep would; observers and protocols draw from
-// streams derived per replication, never from the network's RNG
-// (DESIGN.md, decisions 8-12).
+// --quick swaps each target for its pinned small-scale variant: the same
+// grid shape at toy sizes, bit-identical for a fixed seed at any
+// --threads (CI cmp's every quick CSV between 1 and 8 threads and diffs
+// two of them against checked-in goldens).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -35,179 +37,10 @@
 #include <vector>
 
 #include "churnet/churnet.hpp"
-#include "common/sinks.hpp"
 
 namespace {
 
 using namespace churnet;
-
-/// One paper table/figure: a named, declaratively specified sweep.
-struct ReproTarget {
-  std::string name;        // CLI name ("table1")
-  std::string paper_ref;   // what it reproduces ("Table 1")
-  std::string description;
-  std::string runtime;     // expected full-scale runtime note
-  SweepSpec full;
-  SweepSpec quick;
-};
-
-SweepSpec base_spec(std::vector<std::string> scenarios,
-                    std::vector<std::uint32_t> n,
-                    std::vector<std::uint32_t> d,
-                    std::vector<std::string> metrics, std::string observers,
-                    std::uint64_t reps, bool incremental = false) {
-  SweepSpec spec;
-  spec.scenarios = std::move(scenarios);
-  spec.n_values = std::move(n);
-  spec.d_values = std::move(d);
-  spec.metrics = std::move(metrics);
-  spec.observers = std::move(observers);
-  spec.replications = reps;
-  // Observer-heavy targets run their observers delta-fed; sweep trials
-  // observe exactly once, where the incremental path is bit-identical to
-  // the from-scratch one, so the CSVs (and the quick goldens) are
-  // unchanged — it is purely a runtime improvement.
-  spec.incremental_observers = incremental;
-  return spec;
-}
-
-/// The registry: every paper table/figure this binary reproduces. The
-/// quick variants are pinned (sizes, reps and seeds all fixed) — they are
-/// the determinism smoke surface, not statistically meaningful runs.
-std::vector<ReproTarget> make_targets() {
-  std::vector<ReproTarget> targets;
-
-  // -- Table 1: the paper's summary matrix at a reference configuration.
-  targets.push_back(ReproTarget{
-      "table1", "Table 1",
-      "all four dynamic models at a reference n across the d regimes the "
-      "claims quantify over: expansion probe, spectral gap, isolated "
-      "census, flooding completion/coverage per cell",
-      "~30 min full scale",
-      base_spec({"SDG", "SDGR", "PDG", "PDGR"}, {8000}, {2, 12, 21, 35},
-                {"alive", "completion_step", "final_fraction",
-                 "peak_informed"},
-                "expansion(8)+spectral+isolated", 5),
-      base_spec({"SDG", "SDGR", "PDG", "PDGR"}, {500}, {2, 8},
-                {"alive", "completion_step", "final_fraction",
-                 "peak_informed"},
-                "expansion(8)+spectral+isolated", 2)});
-
-  // -- Flooding time vs n (Theorems 3.16 / 4.20): completion is O(log n)
-  // with regeneration.
-  targets.push_back(ReproTarget{
-      "flooding-time-vs-n", "Thms 3.16 / 4.20 (flooding-time figure)",
-      "completion step of flooding on the regenerating models as n grows "
-      "(the O(log n) claim); flood_steps/final_fraction for the tail",
-      "~20 min full scale",
-      base_spec({"SDGR", "PDGR"}, {1000, 2000, 4000, 8000, 16000}, {21, 35},
-                {"alive", "completion_step", "flood_steps", "final_fraction"},
-                "", 8),
-      base_spec({"SDGR", "PDGR"}, {300, 600}, {8},
-                {"alive", "completion_step", "flood_steps", "final_fraction"},
-                "", 2)});
-
-  // -- Coverage vs d (Theorems 3.8 / 4.13): without regeneration flooding
-  // still informs most nodes, with coverage -> 1 as d grows.
-  targets.push_back(ReproTarget{
-      "coverage-vs-d", "Thms 3.8 / 4.13 (coverage figure)",
-      "terminal flooding coverage on the non-regenerating models as a "
-      "function of d, with the coverage-curve observer (step to 50%, "
-      "area under the curve)",
-      "~15 min full scale",
-      base_spec({"SDG", "PDG"}, {8000}, {2, 4, 8, 12, 16, 20},
-                {"alive", "final_fraction", "peak_informed", "flood_steps"},
-                "coverage(0.5)", 8),
-      base_spec({"SDG", "PDG"}, {500}, {2, 8},
-                {"alive", "final_fraction", "peak_informed", "flood_steps"},
-                "coverage(0.5)", 2)});
-
-  // -- Isolated-node regimes (Lemmas 3.5 / 4.10 and their absence under
-  // regeneration), with the static baselines as contrast columns.
-  targets.push_back(ReproTarget{
-      "isolated-nodes", "Lemmas 3.5 / 4.10 (isolated-node regimes)",
-      "isolated census and degree histogram for SDG/SDGR/PDG/PDGR and the "
-      "static baselines across small d — the e^{-2d} isolation regimes "
-      "and their disappearance under regeneration",
-      "~5 min full scale (delta-fed censuses, no dense snapshot)",
-      base_spec({"SDG", "SDGR", "PDG", "PDGR", "static-dout", "erdos-renyi"},
-                {20000}, {1, 2, 3, 4, 6, 8}, {"alive"},
-                "isolated+degrees", 5, /*incremental=*/true),
-      base_spec({"SDG", "SDGR", "PDG", "PDGR", "static-dout", "erdos-renyi"},
-                {400}, {1, 2}, {"alive"}, "isolated+degrees", 2,
-                /*incremental=*/true)});
-
-  // -- Large-set expansion without regeneration (Lemmas 3.6 / 4.11).
-  targets.push_back(ReproTarget{
-      "expansion-large-sets", "Lemmas 3.6 / 4.11 (large-set expansion)",
-      "vertex-expansion probe on the non-regenerating models across the "
-      "lemmas' d range (the windowed check lives in "
-      "bench_expansion_large_sets; this dataset probes the full range)",
-      "~40 min full scale",
-      base_spec({"SDG", "PDG"}, {20000}, {12, 16, 20, 24},
-                {"alive", "isolated"}, "expansion(8)", 3),
-      base_spec({"SDG", "PDG"}, {400}, {12}, {"alive", "isolated"},
-                "expansion(8)", 2)});
-
-  // -- Expansion under regeneration (Theorems 3.15 / 4.16).
-  targets.push_back(ReproTarget{
-      "expansion-regen", "Thms 3.15 / 4.16 (0.1-expander figure)",
-      "vertex-expansion probe plus spectral gap on the regenerating "
-      "models across d — where 0.1-expansion actually kicks in",
-      "~40 min full scale (delta-fed observers, shared snapshot)",
-      base_spec({"SDGR", "PDGR"}, {20000}, {3, 6, 10, 14, 21, 35},
-                {"alive"}, "expansion(8)+spectral", 3,
-                /*incremental=*/true),
-      base_spec({"SDGR", "PDGR"}, {400}, {8}, {"alive"},
-                "expansion(8)+spectral", 2, /*incremental=*/true)});
-
-  // -- Resilience under adversarial and correlated churn (beyond the
-  // paper's oblivious model; ROADMAP item 2): how expansion, spectral gap,
-  // isolation and flooding coverage degrade as the adversary budget grows,
-  // and under correlated mass failures / flash crowds.
-  targets.push_back(ReproTarget{
-      "resilience", "beyond-paper: adversarial/correlated churn",
-      "degradation of expansion, spectral gap, isolated census and "
-      "flooding coverage versus adversary budget (maxdeg/mindeg/cutset/"
-      "eclipse at budgets 0.25/0.5/1) and under massfail/flashcrowd "
-      "bursts, with the oblivious models as the budget-0 baseline",
-      "~45 min full scale",
-      base_spec({"SDGR", "SDGR+maxdeg(0.25)", "SDGR+maxdeg(0.5)",
-                 "SDGR+maxdeg(1)", "SDGR+mindeg(0.5)", "SDGR+cutset(0.5)",
-                 "SDGR+eclipse(0.5)", "PDGR", "PDGR+maxdeg(0.25)",
-                 "PDGR+maxdeg(0.5)", "PDGR+maxdeg(1)", "PDGR+mindeg(0.5)",
-                 "PDGR+cutset(0.5)", "PDGR+cutset(1)", "PDGR+eclipse(0.5)",
-                 "PDGR+eclipse(1)", "PDG", "PDG+maxdeg(0.5)",
-                 "PDG+mindeg(0.5)", "PDGR+massfail(0.1,1)",
-                 "PDGR+massfail(0.3,1)", "PDGR+flashcrowd(0.25,1)",
-                 "PDG+massfail(0.1,1)"},
-                {8000}, {8, 21},
-                {"alive", "isolated", "completion_step", "final_fraction",
-                 "peak_informed"},
-                "expansion(8)+spectral+isolated", 3),
-      base_spec({"SDGR", "SDGR+maxdeg(1)", "SDGR+eclipse(0.5)", "PDGR",
-                 "PDGR+maxdeg(1)", "PDGR+cutset(0.5)",
-                 "PDGR+massfail(0.2,1)", "PDGR+flashcrowd(0.25,1)"},
-                {300}, {8},
-                {"alive", "isolated", "completion_step", "final_fraction"},
-                "expansion(4)+spectral+isolated", 2)});
-
-  // -- Spectral gap per model (the Table-1 supplement): zero gap for the
-  // isolating models, baseline-comparable gap under regeneration.
-  targets.push_back(ReproTarget{
-      "spectral-gap", "Table 1 supplement (spectral gap per model)",
-      "lazy-walk spectral gap and isolated census for every scenario and "
-      "the static baselines",
-      "~12 min full scale (delta-fed census, shared snapshot)",
-      base_spec({"SDG", "SDGR", "PDG", "PDGR", "static-dout", "erdos-renyi"},
-                {10000}, {2, 8, 21}, {"alive"}, "spectral+isolated", 3,
-                /*incremental=*/true),
-      base_spec({"SDG", "SDGR", "PDG", "PDGR", "static-dout", "erdos-renyi"},
-                {400}, {2, 8}, {"alive"}, "spectral+isolated", 2,
-                /*incremental=*/true)});
-
-  return targets;
-}
 
 /// Best-effort `git rev-parse HEAD` for the manifest; "unknown" when git
 /// or the repository is unavailable (the data is still reproducible from
@@ -223,67 +56,6 @@ std::string git_sha() {
     sha.pop_back();
   }
   return sha.empty() ? "unknown" : sha;
-}
-
-void write_manifest(std::ostream& os, const ReproTarget& target,
-                    const SweepSpec& spec, const SweepResult& result,
-                    bool quick, const std::string& sha,
-                    double target_wall_seconds,
-                    const std::string& trace_path) {
-  const PrecisionGuard precision(os);
-  os << "{\"target\":";
-  write_json_string(os, target.name);
-  os << ",\"paper\":";
-  write_json_string(os, target.paper_ref);
-  os << ",\"description\":";
-  write_json_string(os, target.description);
-  os << ",\"scale\":\"" << (quick ? "quick" : "full") << '"'
-     << ",\"git_sha\":";
-  write_json_string(os, sha);
-  os << ",\"seed\":" << spec.base_seed
-     << ",\"cells\":" << result.cells().size()
-     << ",\"replications\":" << spec.replications
-     << ",\"threads\":" << result.threads_used()
-     << ",\"wall_seconds\":" << result.wall_seconds()
-     << ",\"target_wall_seconds\":" << target_wall_seconds
-     << ",\"telemetry_trace\":";
-  if (trace_path.empty()) {
-    os << "null";
-  } else {
-    write_json_string(os, trace_path);
-  }
-  os << ",\"scenarios\":[";
-  for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {
-    if (i > 0) os << ',';
-    write_json_string(os, spec.scenarios[i]);
-  }
-  os << "],\"n\":[";
-  for (std::size_t i = 0; i < spec.n_values.size(); ++i) {
-    os << (i > 0 ? "," : "") << spec.n_values[i];
-  }
-  os << "],\"d\":[";
-  for (std::size_t i = 0; i < spec.d_values.size(); ++i) {
-    os << (i > 0 ? "," : "") << spec.d_values[i];
-  }
-  os << "],\"observers\":";
-  write_json_string(os, spec.observers);
-  os << ",\"metrics\":[";
-  for (std::size_t i = 0; i < result.metrics().size(); ++i) {
-    if (i > 0) os << ',';
-    write_json_string(os, result.metrics()[i]);
-  }
-  os << "]}\n";
-}
-
-std::ofstream open_or_die(const std::filesystem::path& path,
-                          const char* what) {
-  std::ofstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "cannot open %s file '%s'\n", what,
-                 path.string().c_str());
-    std::exit(1);
-  }
-  return file;
 }
 
 }  // namespace
@@ -326,8 +98,10 @@ int main(int argc, char** argv) {
                "observers, metrics) and exit");
   cli.add_flag("quiet", "suppress the per-target summary tables");
   if (!cli.parse(argc, argv)) return 0;
+  const unsigned threads = cli.get_count("threads");
+  const unsigned workers = cli.get_count("workers");
 
-  const std::vector<ReproTarget> targets = make_targets();
+  const std::vector<ReproTarget> targets = make_repro_targets();
 
   if (cli.get_flag("list-specs")) {
     print_spec_catalogs(std::cout);
@@ -377,8 +151,6 @@ int main(int argc, char** argv) {
   const bool quick = cli.get_flag("quick");
   const bool quiet = cli.get_flag("quiet");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto threads = static_cast<unsigned>(cli.get_int("threads"));
-  const auto workers = static_cast<unsigned>(cli.get_int("workers"));
   const std::filesystem::path checkpoint_dir(cli.get_string("checkpoint"));
   const bool resume = cli.get_flag("resume");
   if (resume && checkpoint_dir.empty()) {
@@ -418,6 +190,7 @@ int main(int argc, char** argv) {
     scoped_sink.emplace(options);
   }
 
+  std::vector<VerdictOutcome> all_outcomes;
   for (const ReproTarget* target : selected) {
     SweepSpec spec = quick ? target->quick : target->full;
     spec.base_seed = seed;
@@ -444,9 +217,13 @@ int main(int argc, char** argv) {
     service.tool = "churnet_repro";
     SweepServiceReport report;
     std::optional<SweepResult> result;
+    std::vector<VerdictOutcome> outcomes;
     try {
       result.emplace(SweepService(spec, service)
                          .run(ScenarioRegistry::extended(), &report));
+      outcomes = write_repro_target(
+          out_dir, *target, *result,
+          ReproProvenance{quick, sha, telemetry_path, target_start});
     } catch (const std::exception& error) {
       std::fprintf(stderr, "%s: %s\n", target->name.c_str(), error.what());
       return 1;
@@ -457,40 +234,32 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(report.jobs_resumed),
                   static_cast<unsigned long long>(report.jobs_run));
     }
-
-    const std::filesystem::path csv_path = out_dir / (target->name + ".csv");
-    const std::filesystem::path json_path =
-        out_dir / (target->name + ".json");
-    const std::filesystem::path manifest_path =
-        out_dir / (target->name + ".manifest.json");
-    {
-      std::ofstream csv = open_or_die(csv_path, "CSV");
-      result->write_csv(csv);
-    }
-    {
-      std::ofstream json = open_or_die(json_path, "JSON");
-      result->write_json(json);
-    }
     if (scoped_sink.has_value()) {
       scoped_sink->sink().span_end(target->name);
     }
-    const double target_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      target_start)
-            .count();
-    {
-      std::ofstream manifest = open_or_die(manifest_path, "manifest");
-      write_manifest(manifest, *target, spec, *result, quick, sha,
-                     target_wall, telemetry_path);
-    }
     if (!quiet) {
       result->to_table().print(std::cout);
-      std::printf("    wrote %s + .json + .manifest.json (%.2fs on %u "
-                  "%s)\n\n",
-                  csv_path.string().c_str(), result->wall_seconds(),
-                  report.workers_used,
+      std::printf("    wrote %s.csv + .json + .manifest.json (%.2fs on %u "
+                  "%s)\n",
+                  (out_dir / target->name).string().c_str(),
+                  result->wall_seconds(), report.workers_used,
                   workers >= 2 ? "worker process(es)" : "thread(s)");
     }
+    // Verdict lines print even under --quiet: they are the run's outcome.
+    for (const VerdictOutcome& outcome : outcomes) {
+      std::printf("    %-4s %s %-11s [%s] %s\n",
+                  verdict_status_name(outcome.status), target->name.c_str(),
+                  outcome.verdict->claim.c_str(),
+                  regime_text(*outcome.verdict).c_str(),
+                  outcome.verdict->bound.c_str());
+      if (!outcome.measured.empty()) {
+        std::printf("         measured: %s\n", outcome.measured.c_str());
+      }
+    }
+    if (!quiet) std::printf("\n");
+    all_outcomes.insert(all_outcomes.end(), outcomes.begin(), outcomes.end());
   }
-  return 0;
+  // Every selected dataset is on disk by now; a failed claim only sets
+  // the exit status.
+  return verdict_exit_status(all_outcomes);
 }

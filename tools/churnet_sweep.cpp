@@ -144,6 +144,9 @@ int main(int argc, char** argv) {
                "observers, metrics) and exit");
   cli.add_flag("quiet", "suppress the stdout summary table");
   if (!cli.parse(argc, argv)) return 0;
+  const unsigned threads = cli.get_count("threads");
+  const unsigned workers = cli.get_count("workers");
+  const unsigned intra_threads = cli.get_count("intra-threads");
 
   // Every listing goes through the shared spec-catalog helper
   // (engine/spec_catalog.hpp), so churnet_sweep, churnet_repro and the
@@ -226,10 +229,7 @@ int main(int argc, char** argv) {
     spec.max_in_degree =
         static_cast<std::uint32_t>(cli.get_int("max-in-degree"));
   }
-  if (cli.get_int("intra-threads") > 0) {
-    spec.intra_threads =
-        static_cast<std::uint32_t>(cli.get_int("intra-threads"));
-  }
+  if (intra_threads > 0) spec.intra_threads = intra_threads;
 
   if (spec.scenarios.empty()) {
     std::fprintf(stderr,
@@ -244,7 +244,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const unsigned threads = static_cast<unsigned>(cli.get_int("threads"));
   if (!cli.get_flag("quiet")) {
     std::printf("sweep: %zu scenario(s) x %zu protocol(s) x %zu n x %zu d "
                 "= %zu cells, %llu replication(s) each\n",
@@ -284,7 +283,7 @@ int main(int argc, char** argv) {
   // changing a byte of the CSV/JSON output.
   SweepServiceOptions service;
   service.threads = threads;
-  service.workers = static_cast<unsigned>(cli.get_int("workers"));
+  service.workers = workers;
   service.checkpoint_dir = cli.get_string("checkpoint");
   service.resume = cli.get_flag("resume");
   service.batch = static_cast<std::uint64_t>(cli.get_int("batch"));
