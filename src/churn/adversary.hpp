@@ -90,7 +90,6 @@ class AdversaryPolicy {
   const std::vector<NodeId>& cutset_boundary() const { return boundary_; }
 
  private:
-  NodeId select_extreme_degree(const GraphReadView& view, bool maximize);
   NodeId select_cutset(const GraphReadView& view);
   NodeId select_eclipse(const GraphReadView& view);
   void rebuild_cutset(const GraphReadView& view);

@@ -73,6 +73,13 @@ class GraphReadView {
   /// consumers that need a canonical order sort).
   virtual void append_neighbors(NodeId node,
                                 std::vector<NodeId>& out) const = 0;
+
+  /// An alive node of maximum (`maximize`) or minimum degree(), ties to the
+  /// smallest slot: the node a slot-ascending scan with strict improvement
+  /// picks. Requires alive_count() > 0. The maxdeg/mindeg adversaries ask
+  /// this once per death, so the live adapter answers it from an index
+  /// instead of a scan.
+  virtual NodeId extreme_degree(bool maximize) const = 0;
 };
 
 class ChurnProcess {

@@ -118,6 +118,16 @@ unsigned Cli::get_count(const std::string& name) const {
   return static_cast<unsigned>(value);
 }
 
+std::uint64_t Cli::get_uint64(const std::string& name) const {
+  const std::int64_t value = get_int(name);
+  if (value < 0) {
+    std::fprintf(stderr, "option '--%s' must be >= 0, got %lld\n",
+                 name.c_str(), static_cast<long long>(value));
+    std::exit(2);
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
 double Cli::get_double(const std::string& name) const {
   return std::strtod(find(name, Kind::kDouble).value.c_str(), nullptr);
 }

@@ -41,6 +41,10 @@ class Cli {
   /// diagnostic and exits 2 when the value is negative or exceeds
   /// unsigned range, instead of wrapping.
   unsigned get_count(const std::string& name) const;
+  /// The 64-bit sibling of get_count for values such as seeds, batch
+  /// sizes and replication counts: exits 2 on a negative value instead of
+  /// wrapping it to a huge unsigned one.
+  std::uint64_t get_uint64(const std::string& name) const;
   double get_double(const std::string& name) const;
   const std::string& get_string(const std::string& name) const;
   bool get_flag(const std::string& name) const;

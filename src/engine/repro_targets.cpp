@@ -360,7 +360,7 @@ std::vector<ReproTarget> make_repro_targets() {
       "all four dynamic models at a reference n across the d regimes the "
       "claims quantify over: expansion probe, spectral gap, isolated "
       "census, flooding completion/coverage per cell",
-      "~30 min full scale",
+      "~19 s full scale, 1 thread",
       base_spec({"SDG", "SDGR", "PDG", "PDGR"}, {8000}, {2, 12, 21, 35},
                 {"alive", "completion_step", "final_fraction",
                  "peak_informed"},
@@ -389,7 +389,7 @@ std::vector<ReproTarget> make_repro_targets() {
       "completion step of flooding on the regenerating models as n grows "
       "(the O(log n) claim) next to the static d-out baseline; "
       "flood_steps/final_fraction for the tail",
-      "~20 min full scale",
+      "~11 s full scale, 1 thread",
       base_spec({"SDGR", "PDGR", "static-dout"},
                 {1000, 2000, 4000, 8000, 16000}, {21, 35},
                 {"alive", "completion_step", "flood_steps", "final_fraction"},
@@ -410,7 +410,7 @@ std::vector<ReproTarget> make_repro_targets() {
       "flooding on the non-regenerating models at small d: early die-out "
       "with at most d+1 informed nodes (final_fraction 0, peak_informed), "
       "and completion times that grow linearly in n",
-      "~1 min full scale",
+      "~53 s full scale, 1 thread",
       base_spec({"SDG", "PDG"}, {500, 1000, 2000, 4000}, {1, 2, 3},
                 {"alive", "completion_step", "final_fraction",
                  "peak_informed", "flood_steps"},
@@ -429,7 +429,7 @@ std::vector<ReproTarget> make_repro_targets() {
       "terminal flooding coverage on the non-regenerating models as a "
       "function of d, with the coverage-curve observer (step to 50%, "
       "area under the curve)",
-      "~15 min full scale",
+      "~3 s full scale, 1 thread",
       base_spec({"SDG", "PDG"}, {8000}, {2, 4, 8, 12, 16, 20},
                 {"alive", "final_fraction", "peak_informed", "flood_steps"},
                 "coverage(0.5)", 8),
@@ -445,7 +445,7 @@ std::vector<ReproTarget> make_repro_targets() {
       "isolated census and degree histogram for SDG/SDGR/PDG/PDGR and the "
       "static baselines across small d — the e^{-2d} isolation regimes "
       "and their disappearance under regeneration",
-      "~5 min full scale (delta-fed censuses, no dense snapshot)",
+      "~5 s full scale, 1 thread (delta-fed censuses, no dense snapshot)",
       base_spec({"SDG", "SDGR", "PDG", "PDGR", "static-dout", "erdos-renyi"},
                 {20000}, {1, 2, 3, 4, 6, 8}, {"alive"},
                 "isolated+degrees", 5, /*incremental=*/true),
@@ -460,7 +460,7 @@ std::vector<ReproTarget> make_repro_targets() {
       "vertex-expansion probe on the non-regenerating models across the "
       "lemmas' d range (the windowed check lives in "
       "bench_expansion_large_sets; this dataset probes the full range)",
-      "~40 min full scale",
+      "~5 s full scale, 1 thread",
       base_spec({"SDG", "PDG"}, {20000}, {12, 16, 20, 24},
                 {"alive", "isolated"}, "expansion(8)", 3),
       base_spec({"SDG", "PDG"}, {400}, {12}, {"alive", "isolated"},
@@ -472,7 +472,7 @@ std::vector<ReproTarget> make_repro_targets() {
       "expansion-regen", "Thms 3.15 / 4.16 (0.1-expander figure)",
       "vertex-expansion probe plus spectral gap on the regenerating "
       "models across d — where 0.1-expansion actually kicks in",
-      "~40 min full scale (delta-fed observers, shared snapshot)",
+      "~25 s full scale, 1 thread (delta-fed observers, shared snapshot)",
       base_spec({"SDGR", "PDGR"}, {20000}, {3, 6, 10, 14, 21, 35},
                 {"alive"}, "expansion(8)+spectral", 3,
                 /*incremental=*/true),
@@ -491,7 +491,7 @@ std::vector<ReproTarget> make_repro_targets() {
       "flooding coverage versus adversary budget (maxdeg/mindeg/cutset/"
       "eclipse at budgets 0.25/0.5/1) and under massfail/flashcrowd "
       "bursts, with the oblivious models as the budget-0 baseline",
-      "~45 min full scale",
+      "~44 s full scale, 1 thread",
       base_spec({"SDGR", "SDGR+maxdeg(0.25)", "SDGR+maxdeg(0.5)",
                  "SDGR+maxdeg(1)", "SDGR+mindeg(0.5)", "SDGR+cutset(0.5)",
                  "SDGR+eclipse(0.5)", "PDGR", "PDGR+maxdeg(0.25)",
@@ -519,7 +519,7 @@ std::vector<ReproTarget> make_repro_targets() {
       "spectral-gap", "Table 1 supplement (spectral gap per model)",
       "lazy-walk spectral gap and isolated census for every scenario and "
       "the static baselines",
-      "~12 min full scale (delta-fed census, shared snapshot)",
+      "~8 s full scale, 1 thread (delta-fed census, shared snapshot)",
       base_spec({"SDG", "SDGR", "PDG", "PDGR", "static-dout", "erdos-renyi"},
                 {10000}, {2, 8, 21}, {"alive"}, "spectral+isolated", 3,
                 /*incremental=*/true),

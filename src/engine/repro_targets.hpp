@@ -60,7 +60,7 @@ struct ReproTarget {
   std::string name;       // CLI name ("table1")
   std::string paper_ref;  // what it reproduces ("Table 1")
   std::string description;
-  std::string runtime;  // expected full-scale runtime note
+  std::string runtime;  // measured full-scale wall time + thread count
   SweepSpec full;
   /// Pinned small-scale variant (sizes, reps and seed fixed): the same grid
   /// shape at toy sizes, bit-identical at any thread count, with at least

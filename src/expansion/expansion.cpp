@@ -263,6 +263,7 @@ void probe_greedy_growth(const Snapshot& snapshot, Rng& rng,
       // Evaluate a random sample of boundary candidates; pick the one whose
       // addition keeps the boundary smallest (most neighbors already inside).
       std::uint32_t best_pos = 0;
+      std::uint32_t best_value = 0;
       std::int64_t best_score = std::numeric_limits<std::int64_t>::max();
       const std::uint32_t tries = std::min<std::uint32_t>(
           options.greedy_fanout,
@@ -284,11 +285,21 @@ void probe_greedy_growth(const Snapshot& snapshot, Rng& rng,
         if (outside < best_score) {
           best_score = outside;
           best_pos = pos;
+          best_value = candidate;
         }
       }
       if (boundary_pool.empty()) break;
-      const std::uint32_t chosen = boundary_pool[best_pos];
-      boundary_pool[best_pos] = boundary_pool.back();
+      // A stale swap-remove may have moved the best candidate out of the
+      // back slot, leaving best_pos == size(). The pick is then the
+      // remembered value (still in the pool at its new position), and the
+      // back element is dropped: the sequence the probe has always produced.
+      std::uint32_t chosen;
+      if (best_pos < boundary_pool.size()) {
+        chosen = boundary_pool[best_pos];
+        boundary_pool[best_pos] = boundary_pool.back();
+      } else {
+        chosen = best_value;
+      }
       boundary_pool.pop_back();
       if (tracker.contains(chosen)) continue;
       tracker.add(chosen);

@@ -56,6 +56,8 @@ void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots,
   // Bulk wiring bypasses the per-edge mutators and emits no deltas; a
   // consumer expecting the feed must use the sequential path instead.
   CHURNET_EXPECTS(feed_ == nullptr && "bulk wiring does not record deltas");
+  // Bulk wiring bypasses the degree index too; the next query rebuilds it.
+  degree_index_.drop();
 
   const std::uint32_t slot_count = static_cast<std::uint32_t>(core_.size());
   const std::size_t block_count =

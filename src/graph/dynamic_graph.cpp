@@ -55,6 +55,18 @@ void DynamicGraph::append_alive_nodes(std::vector<NodeId>& out) const {
   }
 }
 
+NodeId DynamicGraph::extreme_degree(bool maximize) const {
+  CHURNET_EXPECTS(!alive_slots_.empty());
+  if (!degree_index_.built()) {
+    degree_index_.start(slot_upper_bound());
+    for (const std::uint32_t slot : alive_slots_) {
+      degree_index_.insert(slot, degree(alive_id_at(slot)));
+    }
+  }
+  const std::uint32_t slot = degree_index_.extreme_slot(maximize);
+  return NodeId{slot, core_[slot].generation};
+}
+
 bool DynamicGraph::check_consistency() const {
   std::uint64_t seen_edges = 0;
   for (std::uint32_t s = 0; s < core_.size(); ++s) {
@@ -95,7 +107,15 @@ bool DynamicGraph::check_consistency() const {
       if (out.in_pos != i) return false;
     }
   }
-  return seen_edges == edge_count_;
+  if (seen_edges != edge_count_) return false;
+  if (!degree_index_.built()) return true;
+  for (std::uint32_t s = 0; s < core_.size(); ++s) {
+    const std::uint32_t expected = core_[s].alive != 0
+                                       ? degree(alive_id_at(s))
+                                       : DegreeIndex::kAbsent;
+    if (degree_index_.degree_of(s) != expected) return false;
+  }
+  return degree_index_.consistent();
 }
 
 std::uint32_t DynamicGraph::acquire_out_run(std::uint32_t stride) {

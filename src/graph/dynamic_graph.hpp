@@ -36,6 +36,7 @@
 
 #include "common/rng.hpp"
 #include "graph/change_feed.hpp"
+#include "graph/degree_index.hpp"
 #include "graph/node_id.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -97,6 +98,7 @@ class DynamicGraph {
     alive_slots_.push_back(slot_index);
     const NodeId id{slot_index, core.generation};
     if (feed_ != nullptr) feed_->record_birth(id, out_slots, birth_time);
+    if (degree_index_.built()) degree_index_.insert(slot_index, 0);
     return id;
   }
 
@@ -110,6 +112,7 @@ class DynamicGraph {
     telemetry::count(telemetry::Counter::kChurnEvents);
     SlotCore& core = core_of(node);
     CHURNET_EXPECTS(core.alive != 0);
+    if (degree_index_.built()) unindex_removal(core, node.slot);
 
     // The victim's edge runs name ~degree random peers; issue all the
     // prefetches up front so the detach loops overlap their cache misses
@@ -203,6 +206,10 @@ class DynamicGraph {
     ++target_core.in_count;
     ++edge_count_;
     if (feed_ != nullptr) feed_->record_edge_set(owner, index, target);
+    if (degree_index_.built()) {
+      degree_index_.increment(owner.slot);
+      degree_index_.increment(target.slot);
+    }
   }
 
   /// Makes out-slot `index` of `owner` dangling, detaching it from its
@@ -216,6 +223,10 @@ class DynamicGraph {
     if (feed_ != nullptr) {
       feed_->record_edge_clear(owner, index,
                                NodeId{edge.peer, core_[edge.peer].generation});
+    }
+    if (degree_index_.built()) {
+      degree_index_.decrement(owner.slot);
+      degree_index_.decrement(edge.peer);
     }
     detach_in_entry(core_[edge.peer], edge.in_pos);
     edge.peer = NodeId::kInvalidSlot;
@@ -368,6 +379,17 @@ class DynamicGraph {
     return NodeId{slot, core_[slot].generation};
   }
 
+  /// An alive node of maximum (`maximize`) or minimum total degree, ties
+  /// broken toward the smallest slot — the node a slot-ascending scan with
+  /// strict improvement would pick. Requires alive_count() > 0. The first
+  /// call builds the degree-bucket index (graph/degree_index.hpp) in one
+  /// O(V+E) pass; from then on the four mutators keep it current, so later
+  /// calls cost O(1) plus one summary word per 4096 slots. The index is a
+  /// mutable cache: this const query writes it, so it must not race with
+  /// any other use of the graph. Graphs that are never asked pay one
+  /// predictable branch per mutation.
+  NodeId extreme_degree(bool maximize) const;
+
   /// Bulk genesis wiring (src/graph/bulk_wiring.cpp): installs the edge
   /// list of a pure-growth phase — edge e points out-slot (e % out_slots)
   /// of slot (e / out_slots) at slot targets[e], kInvalidSlot entries
@@ -377,7 +399,8 @@ class DynamicGraph {
   /// dangling out-edges and an empty in-list. Radix-buckets edges by
   /// target block so in-list inserts are cache-resident, and shards the
   /// passes over `intra_threads` workers with thread-count-invariant
-  /// results.
+  /// results. Drops a built degree index (the next extreme_degree query
+  /// rebuilds it).
   void bulk_wire_genesis(std::uint32_t out_slots,
                          std::span<const std::uint32_t> targets,
                          unsigned intra_threads);
@@ -403,8 +426,10 @@ class DynamicGraph {
     return static_cast<std::uint32_t>(core_.size());
   }
 
-  /// Verifies the full doubly-indexed adjacency invariant; O(V+E).
-  /// Used by tests and debug assertions, returns true when consistent.
+  /// Verifies the full doubly-indexed adjacency invariant; O(V+E), plus
+  /// O(V * max degree) when the degree index is built, which must then
+  /// hold every alive slot at its true degree. Used by tests and debug
+  /// assertions, returns true when consistent.
   bool check_consistency() const;
 
  private:
@@ -468,6 +493,22 @@ class DynamicGraph {
     target_core.in_count = last;
   }
 
+  /// Degree-index half of remove_node: every out-target and in-source of
+  /// the victim loses one degree per shared edge, then the victim leaves
+  /// the index. Runs before the detach loops, while the runs are intact.
+  void unindex_removal(const SlotCore& core, std::uint32_t slot) {
+    for (std::uint32_t i = 0; i < core.out_count; ++i) {
+      const std::uint32_t target_slot = out_pool_[core.out_base + i].peer;
+      if (target_slot != NodeId::kInvalidSlot) {
+        degree_index_.decrement(target_slot);
+      }
+    }
+    for (std::uint32_t i = 0; i < core.in_count; ++i) {
+      degree_index_.decrement(in_pool_[core.in_base + i].peer);
+    }
+    degree_index_.erase(slot);
+  }
+
   std::uint32_t grow_slot_arrays();                      // cold: new slot
   std::uint32_t acquire_out_run(std::uint32_t stride);
   void release_out_run(std::uint32_t base, std::uint32_t stride);
@@ -499,6 +540,8 @@ class DynamicGraph {
   std::uint64_t next_birth_seq_ = 0;
   std::uint64_t edge_count_ = 0;
   ChangeFeed* feed_ = nullptr;  // optional delta recording (attach_change_feed)
+  // Built by the first extreme_degree query, maintained by the mutators.
+  mutable DegreeIndex degree_index_;
 };
 
 }  // namespace churnet

@@ -5,7 +5,8 @@
 // adapter lives model-side to keep the churn layer graph-agnostic).
 //
 // Construction is free (a reference wrap); drivers build one on the stack
-// per adversarial death.
+// per adversarial death. Degree extremes come from the graph's own
+// degree-bucket index, which outlives any one view.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +37,10 @@ class DynamicGraphView final : public GraphReadView {
 
   void append_neighbors(NodeId node, std::vector<NodeId>& out) const override {
     graph_.append_neighbors(node, out);
+  }
+
+  NodeId extreme_degree(bool maximize) const override {
+    return graph_.extreme_degree(maximize);
   }
 
  private:

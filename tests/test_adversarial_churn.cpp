@@ -4,7 +4,9 @@
 //   * differential oracles: every AdversaryPolicy rule is checked against
 //     an independent reference implementation on a shadow adjacency (a
 //     second GraphReadView), and against the live DynamicGraph through
-//     DynamicGraphView — the selections must agree exactly;
+//     DynamicGraphView — the selections must agree exactly; the graph's
+//     degree-bucket index is checked against the ShadowView scan after
+//     every mutation of random, PDGR and SDG runs;
 //   * integration oracles: network-level runs assert the per-death
 //     invariants (maxdeg victims really have maximum degree, streaming
 //     keeps its pinned size and round schedule);
@@ -13,9 +15,10 @@
 //     invariant (1-thread CSV == 8-thread CSV);
 //   * burst laws: massfail/flashcrowd burst sizes are exact per burst and
 //     the pre-burst population tracks the closed-form fixed point;
-//   * allocation hygiene: steady-state BurstChurn::next and degree-rule
-//     selection never touch the global allocator (counting operator new,
-//     same pattern as test_graph_stress.cpp);
+//   * allocation hygiene: steady-state BurstChurn::next, degree-rule
+//     selection and warmed maxdeg/mindeg networks never touch the global
+//     allocator (counting operator new, same pattern as
+//     test_graph_stress.cpp);
 //   * grammar: the new spellings parse/round-trip, malformed ones are
 //     rejected with actionable reasons, and the catalog, the known-name
 //     list and the factory stay mutually complete.
@@ -148,6 +151,23 @@ class ShadowView final : public GraphReadView {
     out.insert(out.end(), adj_[node.slot].begin(), adj_[node.slot].end());
   }
 
+  /// The reference degree rule: a slot-ascending scan with strict
+  /// improvement, so ties resolve to the smallest slot.
+  NodeId extreme_degree(bool maximize) const override {
+    NodeId best = kInvalidNode;
+    std::uint32_t best_degree = 0;
+    for (std::uint32_t slot = 0; slot < slot_upper_bound(); ++slot) {
+      const NodeId id = alive_at(slot);
+      if (!id.valid()) continue;
+      const std::uint32_t d = degree(id);
+      if (!best.valid() || (maximize ? d > best_degree : d < best_degree)) {
+        best = id;
+        best_degree = d;
+      }
+    }
+    return best;
+  }
+
  private:
   std::vector<NodeId> alive_;            // invalid == dead slot
   std::vector<std::vector<NodeId>> adj_;  // symmetric neighbor lists
@@ -242,6 +262,131 @@ TEST(AdversaryPolicy, SelectionsAgreeBetweenShadowAndDynamicGraphView) {
     EXPECT_EQ(on_live.select(live), on_shadow.select(shadow))
         << "rule " << static_cast<int>(rule);
   }
+}
+
+// ---- differential oracles: the graph's degree-bucket index ------------------
+
+/// Both degree extremes of the live graph's index against the ShadowView
+/// scan over a mirror of the same topology, plus the graph's own audit
+/// (which checks a built index slot by slot).
+::testing::AssertionResult index_matches_scan(const DynamicGraph& graph) {
+  const DynamicGraphView live(graph);
+  const ShadowView shadow = ShadowView::mirror(graph);
+  for (const bool maximize : {true, false}) {
+    const NodeId indexed = live.extreme_degree(maximize);
+    const NodeId scanned = shadow.extreme_degree(maximize);
+    if (indexed != scanned) {
+      return ::testing::AssertionFailure()
+             << (maximize ? "max" : "min") << "-degree index slot "
+             << indexed.slot << " != scan slot " << scanned.slot;
+    }
+  }
+  if (!graph.check_consistency()) {
+    return ::testing::AssertionFailure() << "check_consistency failed";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(DegreeIndex, MatchesScanUnderRandomBirthsDeathsAndRewires) {
+  // Raw DynamicGraph mutations: nodes with 0..3 out-slots (0 stays at
+  // degree 0 unless someone points at it), deaths that recycle slots,
+  // orphans left dangling or regenerated, single-edge rewires, and a hub
+  // that collects edges so the bucket array has to grow.
+  Rng rng(2024);
+  DynamicGraph graph;
+  RemovalScratch scratch;
+  const auto wire = [&](NodeId owner, std::uint32_t index) {
+    const NodeId hub = graph.alive_nodes().front();
+    const NodeId target = rng.bernoulli(0.2) && hub != owner
+                              ? hub
+                              : graph.random_alive_other(rng, owner);
+    if (target.valid()) graph.set_out_edge(owner, index, target);
+  };
+  for (int i = 0; i < 40; ++i) {
+    graph.add_node(static_cast<std::uint32_t>(rng.below(4)), 0.0);
+  }
+  ASSERT_TRUE(index_matches_scan(graph));  // builds the index: all degree 0
+
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint64_t op = rng.below(10);
+    const bool grow = graph.alive_count() < 60 ? op < 5 : op < 3;
+    if (grow || graph.alive_count() < 3) {
+      const NodeId born =
+          graph.add_node(static_cast<std::uint32_t>(rng.below(4)), 0.0);
+      for (std::uint32_t i = 0; i < graph.out_slot_count(born); ++i) {
+        if (rng.bernoulli(0.8)) wire(born, i);
+      }
+    } else if (op < 7) {
+      graph.remove_node(graph.random_alive(rng), scratch);
+      for (const OutSlotRef orphan : scratch.orphans) {
+        if (rng.bernoulli(0.5)) wire(orphan.owner, orphan.index);
+      }
+    } else {
+      const NodeId owner = graph.random_alive(rng);
+      const std::uint32_t slots = graph.out_slot_count(owner);
+      if (slots > 0) {
+        const auto index = static_cast<std::uint32_t>(rng.below(slots));
+        if (graph.out_target(owner, index).valid()) {
+          graph.clear_out_edge(owner, index);
+        }
+        if (rng.bernoulli(0.7)) wire(owner, index);
+      }
+    }
+    ASSERT_TRUE(index_matches_scan(graph)) << "after step " << step;
+  }
+}
+
+TEST(DegreeIndex, BulkGenesisWiringDropsAndQueriesRebuild) {
+  DynamicGraph graph;
+  constexpr std::uint32_t kNodes = 50;
+  constexpr std::uint32_t kOutSlots = 3;
+  for (std::uint32_t i = 0; i < kNodes; ++i) graph.add_node(kOutSlots, 0.0);
+  ASSERT_TRUE(index_matches_scan(graph));  // built while every degree is 0
+  std::vector<std::uint32_t> targets;
+  for (std::uint32_t e = 0; e < kNodes * kOutSlots; ++e) {
+    const std::uint32_t owner = e / kOutSlots;
+    targets.push_back(e % 7 == 0 ? NodeId::kInvalidSlot
+                                 : (owner + 1 + (e * e) % (kNodes - 1)) %
+                                       kNodes);
+  }
+  graph.bulk_wire_genesis(kOutSlots, targets, 1);
+  EXPECT_TRUE(graph.check_consistency());  // no stale index survives
+  EXPECT_TRUE(index_matches_scan(graph));
+}
+
+TEST(DegreeIndex, MatchesScanThroughPdgrAndSdgChurn) {
+  // PDGR: regeneration plus the bounded-degree redraw path, with half of
+  // the deaths aimed by the index itself.
+  PoissonConfig pdgr =
+      PoissonConfig::with_n(150, 4, EdgePolicy::kRegenerate, 17);
+  pdgr.max_in_degree = 6;
+  pdgr.churn = *ChurnSpec::parse("mindeg(0.5)");
+  PoissonNetwork poisson(pdgr);
+  poisson.warm_up(2.0);
+  for (int event = 0; event < 1500; ++event) {
+    poisson.step();
+    ASSERT_TRUE(index_matches_scan(poisson.graph())) << "event " << event;
+  }
+
+  // SDG: no regeneration, so orphaned nodes drift to degree 0 and the
+  // min rule must find the isolated ones.
+  StreamingConfig sdg;
+  sdg.n = 150;
+  sdg.d = 2;
+  sdg.policy = EdgePolicy::kNone;
+  sdg.seed = 5;
+  sdg.churn = *ChurnSpec::parse("maxdeg(0.5)");
+  StreamingNetwork streaming(sdg);
+  streaming.warm_up();
+  int isolated_minima = 0;
+  for (int round = 0; round < 600; ++round) {
+    streaming.step();
+    ASSERT_TRUE(index_matches_scan(streaming.graph())) << "round " << round;
+    const DynamicGraphView view(streaming.graph());
+    isolated_minima +=
+        streaming.graph().degree(view.extreme_degree(false)) == 0;
+  }
+  EXPECT_GT(isolated_minima, 0);
 }
 
 // ---- differential oracles: eclipse and cutset -------------------------------
@@ -639,7 +784,24 @@ TEST(AdversarialChurnAllocation, SteadyStatePathsAllocateNothing) {
   AdversaryPolicy maxdeg({AdversaryRule::kMaxDegree, 0.5}, 101);
   (void)maxdeg.select(view);  // warm any lazy scratch
 
+  // Warmed degree-adversary networks: after a conditioning window (as in
+  // test_graph_stress.cpp) the degree index has reached its slot capacity
+  // and bucket count, so its updates and picks only flip existing bits.
+  PoissonConfig maxdeg_config =
+      PoissonConfig::with_n(1000, 8, EdgePolicy::kRegenerate, 31);
+  maxdeg_config.churn = *ChurnSpec::parse("maxdeg(0.5)");
+  PoissonConfig mindeg_config = maxdeg_config;
+  mindeg_config.churn = *ChurnSpec::parse("mindeg(0.5)");
+  PoissonNetwork maxdeg_net(maxdeg_config);
+  PoissonNetwork mindeg_net(mindeg_config);
+  for (PoissonNetwork* net : {&maxdeg_net, &mindeg_net}) {
+    net->warm_up();
+    net->run_events(20000);
+  }
+
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  maxdeg_net.run_events(20000);
+  mindeg_net.run_events(20000);
   for (int i = 0; i < 20000; ++i) {
     const ChurnProcess::Step step = bursts.next(population);
     population += step.is_birth ? 1 : std::uint64_t(-1);
@@ -650,7 +812,7 @@ TEST(AdversarialChurnAllocation, SteadyStatePathsAllocateNothing) {
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
-      << "steady-state burst/selection path touched the allocator";
+      << "steady-state burst/selection/adversary path touched the allocator";
 }
 
 // ---- spec grammar -----------------------------------------------------------

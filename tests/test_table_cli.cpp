@@ -149,5 +149,21 @@ TEST_F(CliTest, CountRejectsNegativeValues) {
   EXPECT_EQ(ok.get_count("n"), 4u);
 }
 
+TEST_F(CliTest, Uint64RejectsNegativeValuesAndKeepsWideOnes) {
+  Cli cli = make_cli();
+  const char* argv[] = {"prog", "--n", "-1"};
+  ASSERT_TRUE(cli.parse(3, argv));
+  EXPECT_EXIT((void)cli.get_uint64("n"), ::testing::ExitedWithCode(2),
+              "must be >= 0, got -1");
+  Cli wide = make_cli();
+  const char* argv_wide[] = {"prog", "--n", "5000000000"};
+  ASSERT_TRUE(wide.parse(3, argv_wide));
+  EXPECT_EQ(wide.get_uint64("n"), 5000000000u);  // beyond get_count's range
+  Cli zero = make_cli();
+  const char* argv_zero[] = {"prog", "--n=0"};
+  ASSERT_TRUE(zero.parse(2, argv_zero));
+  EXPECT_EQ(zero.get_uint64("n"), 0u);
+}
+
 }  // namespace
 }  // namespace churnet

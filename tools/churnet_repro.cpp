@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
 
   const bool quick = cli.get_flag("quick");
   const bool quiet = cli.get_flag("quiet");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const std::uint64_t seed = cli.get_uint64("seed");
   const std::filesystem::path checkpoint_dir(cli.get_string("checkpoint"));
   const bool resume = cli.get_flag("resume");
   if (resume && checkpoint_dir.empty()) {

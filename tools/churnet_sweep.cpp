@@ -219,15 +219,14 @@ int main(int argc, char** argv) {
   if (cli.get_flag("incremental-observers")) {
     spec.incremental_observers = true;
   }
-  if (cli.get_int("reps") > 0) {
-    spec.replications = static_cast<std::uint64_t>(cli.get_int("reps"));
+  if (const std::uint64_t reps = cli.get_uint64("reps"); reps > 0) {
+    spec.replications = reps;
   }
-  if (cli.get_int("seed") > 0) {
-    spec.base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  if (const std::uint64_t seed = cli.get_uint64("seed"); seed > 0) {
+    spec.base_seed = seed;
   }
-  if (cli.get_int("max-in-degree") > 0) {
-    spec.max_in_degree =
-        static_cast<std::uint32_t>(cli.get_int("max-in-degree"));
+  if (const unsigned cap = cli.get_count("max-in-degree"); cap > 0) {
+    spec.max_in_degree = cap;
   }
   if (intra_threads > 0) spec.intra_threads = intra_threads;
 
@@ -286,9 +285,8 @@ int main(int argc, char** argv) {
   service.workers = workers;
   service.checkpoint_dir = cli.get_string("checkpoint");
   service.resume = cli.get_flag("resume");
-  service.batch = static_cast<std::uint64_t>(cli.get_int("batch"));
-  service.kill_after =
-      static_cast<std::uint64_t>(cli.get_int("kill-after"));
+  service.batch = cli.get_uint64("batch");
+  service.kill_after = cli.get_uint64("kill-after");
   service.worker_trace_prefix = cli.get_string("worker-traces");
   service.tool = "churnet_sweep";
   if (service.resume && service.checkpoint_dir.empty()) {
