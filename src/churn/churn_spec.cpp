@@ -1,5 +1,6 @@
 #include "churn/churn_spec.hpp"
 
+#include <cmath>
 #include <vector>
 
 #include "churn/adversary.hpp"
@@ -95,7 +96,7 @@ std::vector<std::pair<std::string, std::string>> ChurnSpec::catalog() {
        "kills floor(p*alive) at once every T lifetimes, p in (0,1), T > 0 "
        "(defaults 0.1, 1); Poisson-family models only"},
       {"flashcrowd(f,T)",
-       "births floor(f*alive) at once every T lifetimes, f > 0, T > 0 "
+       "births floor(f*alive) at once every T lifetimes, f > 0, T > ln(1+f) "
        "(defaults 0.1, 1); Poisson-family models only"},
   };
 }
@@ -283,6 +284,17 @@ std::optional<ChurnSpec> ChurnSpec::parse(std::string_view text,
       if (!(spec.b > 0.0)) {
         fail(error, "flashcrowd period must be > 0 lifetimes (got " +
                         fmt_fixed(spec.b, 3) + ")");
+        return std::nullopt;
+      }
+      // Between bursts the population relaxes toward n by e^{-T} per
+      // period, and each burst scales it by 1+f: the pre-burst size has a
+      // finite fixed point only while (1+f)e^{-T} < 1.
+      if ((1.0 + spec.a) * std::exp(-spec.b) >= 1.0) {
+        fail(error, "flashcrowd(" + fmt_fixed(spec.a, 3) + "," +
+                        fmt_fixed(spec.b, 3) +
+                        ") has no stationary population: it needs "
+                        "(1+f)e^-T < 1, i.e. a period T > ln(1+f) = " +
+                        fmt_fixed(std::log1p(spec.a), 3) + " lifetimes");
         return std::nullopt;
       }
       return spec;

@@ -26,7 +26,8 @@
 //   massfail(p,T)   kills floor(p*alive) at once every T lifetimes,
 //                   jump-chain baseline between bursts; Poisson-family
 //                   models only (churn/burst_churn.hpp)
-//   flashcrowd(f,T) births floor(f*alive) at once every T lifetimes;
+//   flashcrowd(f,T) births floor(f*alive) at once every T > ln(1+f)
+//                   lifetimes (a shorter period has no stationary size);
 //                   Poisson-family models only
 //
 // Omitted arguments take the documented defaults. Malformed specs are

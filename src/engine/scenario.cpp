@@ -38,33 +38,50 @@ ChurnSpec default_churn(ModelKind model) {
   std::abort();
 }
 
-/// Aborts unless `spec` can drive `model` (the registry's CLI semantics).
-void require_compatible(const std::string& name, ModelKind model,
-                        const ChurnSpec& spec) {
+/// Why `spec` cannot drive `model`, or nullopt when it can.
+std::optional<std::string> incompatibility(const std::string& name,
+                                           ModelKind model,
+                                           const ChurnSpec& spec) {
   switch (model) {
     case ModelKind::kStreaming:
       if (spec.kind != ChurnSpec::Kind::kStream && !spec.adversarial()) {
-        abort_scenario("scenario '" + name + "': streaming models take only "
-                       "the 'stream' schedule or an adversarial spec "
-                       "(maxdeg/mindeg/cutset/eclipse) (got '" +
-                       spec.canonical() +
-                       "'); continuous regimes run on Poisson-family bases "
-                       "(PDG/PDGR)");
+        return "scenario '" + name + "': streaming models take only "
+               "the 'stream' schedule or an adversarial spec "
+               "(maxdeg/mindeg/cutset/eclipse) (got '" +
+               spec.canonical() +
+               "'); continuous regimes run on Poisson-family bases "
+               "(PDG/PDGR)";
       }
-      return;
+      return std::nullopt;
     case ModelKind::kPoisson:
       if (!spec.continuous()) {
-        abort_scenario("scenario '" + name + "': Poisson-family models need "
-                       "a continuous churn spec (got '" + spec.canonical() +
-                       "')");
+        return "scenario '" + name + "': Poisson-family models need "
+               "a continuous churn spec (got '" + spec.canonical() + "')";
       }
-      return;
+      return std::nullopt;
     case ModelKind::kStaticDOut:
     case ModelKind::kErdosRenyi:
-      abort_scenario("scenario '" + name +
-                     "': static baselines take no churn spec");
+      return "scenario '" + name + "': static baselines take no churn spec";
   }
   CHURNET_ASSERT(false);
+  return std::nullopt;
+}
+
+/// Aborts unless `spec` can drive `model` (the registry's CLI semantics).
+void require_compatible(const std::string& name, ModelKind model,
+                        const ChurnSpec& spec) {
+  if (const std::optional<std::string> reason =
+          incompatibility(name, model, spec)) {
+    abort_scenario(*reason);
+  }
+}
+
+std::string unknown_scenario_message(std::string_view name,
+                                     const std::vector<Scenario>& known) {
+  std::string message = "unknown scenario '" + std::string(name) +
+                        "'; known scenarios:";
+  for (const Scenario& scenario : known) message += " " + scenario.name();
+  return message;
 }
 
 }  // namespace
@@ -247,25 +264,43 @@ const Scenario* ScenarioRegistry::find(std::string_view name) const {
 const Scenario& ScenarioRegistry::at(std::string_view name) const {
   const Scenario* scenario = find(name);
   if (scenario != nullptr) return *scenario;
-  std::fprintf(stderr, "unknown scenario '%.*s'; known scenarios:",
-               static_cast<int>(name.size()), name.data());
-  for (const Scenario& known : scenarios_) {
-    std::fprintf(stderr, " %s", known.name().c_str());
-  }
-  std::fprintf(stderr, "\n");
-  std::abort();
+  abort_scenario(unknown_scenario_message(name, scenarios_));
 }
 
 Scenario ScenarioRegistry::resolve(std::string_view name) const {
   // Registered names win outright, so pre-registered composites (and any
   // user scenario that happens to contain '+') stay addressable.
   if (const Scenario* registered = find(name)) return *registered;
-  const std::vector<std::string_view> segments = split_spec_segments(name);
-  if (segments.size() == 1) return at(name);  // aborts: unknown
-  const auto die = [&name](const std::string& reason) {
-    abort_scenario("scenario '" + std::string(name) + "': " + reason);
+  std::string error;
+  std::optional<Scenario> scenario = resolve_composite(name, &error);
+  if (!scenario.has_value()) abort_scenario(error);
+  return std::move(*scenario);
+}
+
+std::optional<Scenario> ScenarioRegistry::try_resolve(
+    std::string_view name, std::string* error) const {
+  if (const Scenario* registered = find(name)) return *registered;
+  return resolve_composite(name, error);
+}
+
+std::optional<Scenario> ScenarioRegistry::resolve_composite(
+    std::string_view name, std::string* error) const {
+  const auto fail = [error](std::string message) {
+    if (error != nullptr) *error = std::move(message);
+    return std::nullopt;
   };
-  Scenario current = at(segments[0]);
+  const auto die = [&name, &fail](const std::string& reason) {
+    return fail("scenario '" + std::string(name) + "': " + reason);
+  };
+  const std::vector<std::string_view> segments = split_spec_segments(name);
+  if (segments.size() == 1) {
+    return fail(unknown_scenario_message(name, scenarios_));
+  }
+  const Scenario* base = find(segments[0]);
+  if (base == nullptr) {
+    return fail(unknown_scenario_message(segments[0], scenarios_));
+  }
+  Scenario current = *base;
   // Each suffix segment is dispatched by its call name: churn regimes go
   // through ChurnSpec, protocol terms accumulate into one ProtocolSpec
   // ("flood+lossy(0.9)" arrives as two segments of the same spec).
@@ -274,11 +309,15 @@ Scenario ScenarioRegistry::resolve(std::string_view name) const {
   for (std::size_t i = 1; i < segments.size(); ++i) {
     const std::string head = spec_call_name(segments[i]);
     if (ChurnSpec::is_known_name(head)) {
-      if (have_churn) die("more than one churn spec");
-      std::string error;
+      if (have_churn) return die("more than one churn spec");
+      std::string reason;
       const std::optional<ChurnSpec> spec =
-          ChurnSpec::parse(segments[i], &error);
-      if (!spec.has_value()) die(error);
+          ChurnSpec::parse(segments[i], &reason);
+      if (!spec.has_value()) return die(reason);
+      if (std::optional<std::string> mismatch = incompatibility(
+              current.name(), current.model(), *spec)) {
+        return fail(std::move(*mismatch));
+      }
       current = current.with_churn(*spec);
       have_churn = true;
     } else if (ProtocolSpec::is_known_name(head)) {
@@ -287,16 +326,16 @@ Scenario ScenarioRegistry::resolve(std::string_view name) const {
     } else {
       // Keep both families' diagnostics: the churn error names the known
       // regimes, and the protocol catalog is listed alongside.
-      std::string error;
-      ChurnSpec::parse(segments[i], &error);
-      die(error + "; known protocols: " + ProtocolSpec::known_names());
+      std::string reason;
+      ChurnSpec::parse(segments[i], &reason);
+      return die(reason + "; known protocols: " + ProtocolSpec::known_names());
     }
   }
   if (!protocol_text.empty()) {
-    std::string error;
+    std::string reason;
     const std::optional<ProtocolSpec> spec =
-        ProtocolSpec::parse(protocol_text, &error);
-    if (!spec.has_value()) die(error);
+        ProtocolSpec::parse(protocol_text, &reason);
+    if (!spec.has_value()) return die(reason);
     current = current.with_protocol(*spec);
   }
   return current;

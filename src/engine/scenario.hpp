@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -147,10 +148,20 @@ class ScenarioRegistry {
   /// pairs.
   Scenario resolve(std::string_view name) const;
 
+  /// resolve() without the abort: the scenario, or nullopt with the same
+  /// diagnostic in `error`. CLIs check every name with it before any job
+  /// starts, so a bad name is a usage error (exit 2), not a crash.
+  std::optional<Scenario> try_resolve(std::string_view name,
+                                      std::string* error = nullptr) const;
+
   const std::vector<Scenario>& scenarios() const { return scenarios_; }
   std::vector<std::string> names() const;
 
  private:
+  /// The composite half of try_resolve, for a name find() missed.
+  std::optional<Scenario> resolve_composite(std::string_view name,
+                                            std::string* error) const;
+
   std::vector<Scenario> scenarios_;
 };
 

@@ -1,6 +1,9 @@
 #include "engine/spec_catalog.hpp"
 
 #include <algorithm>
+#include <cstdlib>
+#include <iostream>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -84,6 +87,16 @@ void print_spec_catalogs(std::ostream& os) {
   print_observer_catalog(os);
   os << '\n';
   print_metric_catalog(os);
+}
+
+void require_resolvable_scenarios(const SweepSpec& spec,
+                                  const ScenarioRegistry& registry,
+                                  const char* context) {
+  const std::optional<std::string> error = spec.scenario_error(registry);
+  if (!error.has_value()) return;
+  std::cerr << context << ": " << *error << "\n\n";
+  print_spec_catalogs(std::cerr);
+  std::exit(2);
 }
 
 }  // namespace churnet

@@ -10,6 +10,7 @@
 namespace churnet {
 
 class ScenarioRegistry;
+struct SweepSpec;
 
 /// "  spelling  description" rows for every churn regime, followed by the
 /// composite-spec usage line ("BASE+spec", where spec may also be a
@@ -34,5 +35,13 @@ void print_scenario_catalog(std::ostream& os,
 /// All of the above, section-headed — the full catalog a CLI prints from
 /// --list-specs or an unknown-spec error path.
 void print_spec_catalogs(std::ostream& os);
+
+/// Unless every scenario name in `spec` resolves in `registry`, prints
+/// "<context>: <diagnostic>" and the catalogs to stderr and exits 2 (a
+/// usage error, like a malformed flag). CLIs call it before any job
+/// starts, so "PDGR+massfail(2,1)" never reaches the aborting resolve.
+void require_resolvable_scenarios(const SweepSpec& spec,
+                                  const ScenarioRegistry& registry,
+                                  const char* context);
 
 }  // namespace churnet

@@ -299,6 +299,15 @@ std::optional<std::string> SweepSpec::validate() const {
   return std::nullopt;
 }
 
+std::optional<std::string> SweepSpec::scenario_error(
+    const ScenarioRegistry& registry) const {
+  for (const std::string& name : scenarios) {
+    std::string error;
+    if (!registry.try_resolve(name, &error).has_value()) return error;
+  }
+  return std::nullopt;
+}
+
 SweepResult::SweepResult(
     SweepSpec spec, std::vector<std::string> metric_names,
     std::vector<SweepCellKey> cells,

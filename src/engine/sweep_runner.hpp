@@ -139,6 +139,12 @@ struct SweepSpec {
   /// >= 1); scenario names are resolved later by run(). Returns an error
   /// reason, or nullopt when valid.
   std::optional<std::string> validate() const;
+
+  /// The diagnostic of the first scenario name `registry` cannot resolve
+  /// (ScenarioRegistry::try_resolve), or nullopt when every name resolves:
+  /// the check CLIs make before any job starts.
+  std::optional<std::string> scenario_error(
+      const ScenarioRegistry& registry) const;
 };
 
 /// One grid cell's identity in results and sinks.

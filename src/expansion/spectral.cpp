@@ -80,23 +80,33 @@ SpectralResult run_power_iteration(const Snapshot& snapshot, Rng& rng,
     for (double& value : x) value /= norm;
   }
 
+  // Each iteration makes two fused passes over the nodes. Every sum still
+  // accumulates in ascending index order with the same expression per
+  // term, so the result is bit-identical to separate product, deflate,
+  // quotient and norm passes.
   double rayleigh = 0.0;
   for (std::uint32_t iteration = 1; iteration <= max_iterations;
        ++iteration) {
-    // next = P x with P = (I + D^{-1} A) / 2.
+    // next = P x with P = (I + D^{-1} A) / 2, and its pi-mean.
+    double mean = 0.0;
     for (std::uint32_t v = 0; v < n; ++v) {
       double sum = 0.0;
       for (const std::uint32_t w : snapshot.neighbors(v)) sum += x[w];
       next[v] =
           0.5 * (x[v] + sum / static_cast<double>(snapshot.degree(v)));
+      mean += pi[v] * next[v];
     }
-    deflate(next);  // numerical re-orthogonalization against constants
-    // Rayleigh quotient <x, Px>_pi with the pre-normalized x.
+    // Subtract the mean (numerical re-orthogonalization against
+    // constants), then the Rayleigh quotient <x, Px>_pi with the
+    // pre-normalized x and the pi-norm of the deflated next.
     double quotient = 0.0;
+    double norm_sq = 0.0;
     for (std::uint32_t v = 0; v < n; ++v) {
+      next[v] -= mean;
       quotient += pi[v] * x[v] * next[v];
+      norm_sq += pi[v] * next[v] * next[v];
     }
-    const double norm = pi_norm(next);
+    const double norm = std::sqrt(norm_sq);
     result.iterations = iteration;
     if (norm <= 1e-300) {
       // x was (numerically) entirely in the top eigenspace: gap is huge.

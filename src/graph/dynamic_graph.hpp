@@ -28,6 +28,12 @@
 // loop performs zero heap allocations: every birth and death recycles
 // pooled runs instead of touching the allocator. The mutators live in this
 // header so model round loops inline them.
+//
+// Past kHugeArenaBytes of in-pool (graph/arena_allocator.hpp) the arenas
+// sit on huge pages and the churn loop is bound by chains of dependent
+// cache misses, so remove_node and the wiring tiles (models/wiring.hpp)
+// switch to staged prefetch passes that overlap those misses. Below the
+// gate the graph is cache-resident and runs the single-pass code.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +41,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "graph/arena_allocator.hpp"
 #include "graph/change_feed.hpp"
 #include "graph/degree_index.hpp"
 #include "graph/node_id.hpp"
@@ -125,6 +132,36 @@ class DynamicGraph {
     }
     for (std::uint32_t i = 0; i < core.in_count; ++i) {
       __builtin_prefetch(&core_[in_pool_[core.in_base + i].peer]);
+    }
+    if (staged_prefetch()) {
+      // Past the arena gate, two more stages while those records arrive:
+      // each out-target's in-list entry for the edge and the tail entry
+      // the swap-remove moves, plus each in-source's out-slot; then the
+      // slot record of each tail entry's source, whose out-slot
+      // back-pointer the detach rewrites. (Inline on purpose: a helper
+      // holding only loads and prefetches is side-effect free to the
+      // optimizer, which deletes the call.)
+      for (std::uint32_t i = 0; i < core.out_count; ++i) {
+        const OutEdge& edge = out_pool_[core.out_base + i];
+        if (edge.peer == NodeId::kInvalidSlot) continue;
+        const SlotCore& target_core = core_[edge.peer];
+        __builtin_prefetch(&in_pool_[target_core.in_base + edge.in_pos], 1);
+        __builtin_prefetch(
+            &in_pool_[target_core.in_base + target_core.in_count - 1], 1);
+      }
+      for (std::uint32_t i = 0; i < core.in_count; ++i) {
+        const InEdge& in_edge = in_pool_[core.in_base + i];
+        __builtin_prefetch(
+            &out_pool_[core_[in_edge.peer].out_base + in_edge.out_index], 1);
+      }
+      for (std::uint32_t i = 0; i < core.out_count; ++i) {
+        const OutEdge& edge = out_pool_[core.out_base + i];
+        if (edge.peer == NodeId::kInvalidSlot) continue;
+        const SlotCore& target_core = core_[edge.peer];
+        __builtin_prefetch(
+            &core_[in_pool_[target_core.in_base + target_core.in_count - 1]
+                       .peer]);
+      }
     }
 
     // Detach this node's out-edges from their targets' in-lists, leaving
@@ -263,26 +300,50 @@ class DynamicGraph {
 
   /// Uniformly random alive node != exclude; invalid id if none exists.
   NodeId random_alive_other(Rng& rng, NodeId exclude) const {
-    const bool exclude_alive = is_alive(exclude);
-    const std::size_t candidates =
-        alive_slots_.size() - (exclude_alive ? 1 : 0);
-    if (candidates == 0) return kInvalidNode;
-    if (!exclude_alive) return random_alive(rng);
-    // Draw from the alive list skipping the excluded node's position.
-    std::size_t pick = static_cast<std::size_t>(rng.below(candidates));
-    const std::size_t excluded_pos = core_[exclude.slot].alive_pos;
-    if (pick >= excluded_pos) ++pick;
+    const std::size_t pick = random_alive_position_other(rng, exclude);
+    if (pick == kNoAlivePosition) return kInvalidNode;
     const std::uint32_t slot_index = alive_slots_[pick];
     return NodeId{slot_index, core_[slot_index].generation};
   }
 
-  /// Prefetch hints for wiring loops: pull a node's hot slot record (and,
-  /// once that record is cached, its next in-list insert position) toward
-  /// the cache so independently drawn targets overlap their misses instead
-  /// of serializing them. Pure hints — no-ops on invalid ids, no effect on
-  /// behavior.
-  void prefetch_node(NodeId node) const {
-    if (node.slot < core_.size()) __builtin_prefetch(&core_[node.slot]);
+  /// The draw half of random_alive_other, with the same RNG consumption:
+  /// a uniform position in the alive list that does not hold `exclude`, or
+  /// kNoAlivePosition (no draw) if no other node is alive. Staged wiring
+  /// draws a tile of positions before loading any slot (models/wiring.hpp).
+  static constexpr std::size_t kNoAlivePosition = static_cast<std::size_t>(-1);
+  std::size_t random_alive_position_other(Rng& rng, NodeId exclude) const {
+    const bool exclude_alive = is_alive(exclude);
+    const std::size_t candidates =
+        alive_slots_.size() - (exclude_alive ? 1 : 0);
+    if (candidates == 0) return kNoAlivePosition;
+    // Draw from the alive list skipping the excluded node's position.
+    std::size_t pick = static_cast<std::size_t>(rng.below(candidates));
+    if (exclude_alive && pick >= core_[exclude.slot].alive_pos) ++pick;
+    return pick;
+  }
+  /// Slot held at alive-list position `pos` (< alive_count()).
+  std::uint32_t alive_slot_at(std::size_t pos) const {
+    return alive_slots_[pos];
+  }
+
+  /// Whether the in-pool arena has reached kHugeArenaBytes: the graph is
+  /// no longer cache-resident, and remove_node and the wiring tiles stage
+  /// their prefetch hints. A property of the population and degree the
+  /// graph was reserved or grown for, not a setting.
+  bool staged_prefetch() const {
+    return ArenaAllocator<InEdge>::large_block(in_pool_.capacity());
+  }
+
+  /// Prefetch hints for the staged wiring loop: pull an alive-list
+  /// position, a slot's hot record, or (once that record is cached) a
+  /// node's next in-list insert position toward the cache, so a tile of
+  /// independently drawn targets overlaps its misses instead of
+  /// serializing them. Pure hints: no effect on behavior.
+  void prefetch_alive_position(std::size_t pos) const {
+    __builtin_prefetch(&alive_slots_[pos]);
+  }
+  void prefetch_slot(std::uint32_t slot) const {
+    __builtin_prefetch(&core_[slot]);
   }
   void prefetch_in_insert(NodeId node) const {
     if (node.slot >= core_.size()) return;
@@ -518,11 +579,14 @@ class DynamicGraph {
   void grow_in_chunk(SlotCore& core);                    // cold: upgrade
 
   // ---- arenas ----------------------------------------------------------
-  std::vector<SlotCore> core_;
-  std::vector<std::uint64_t> birth_seqs_;   // cold, parallel to core_
-  std::vector<double> birth_times_;         // cold, parallel to core_
-  std::vector<OutEdge> out_pool_;           // strided out-slot runs
-  std::vector<InEdge> in_pool_;             // capacity-class in-list chunks
+  // Huge-page backed once a block reaches kHugeArenaBytes.
+  template <typename T>
+  using Arena = std::vector<T, ArenaAllocator<T>>;
+  Arena<SlotCore> core_;
+  Arena<std::uint64_t> birth_seqs_;         // cold, parallel to core_
+  Arena<double> birth_times_;               // cold, parallel to core_
+  Arena<OutEdge> out_pool_;                 // strided out-slot runs
+  Arena<InEdge> in_pool_;                   // capacity-class in-list chunks
 
   // Free runs, recycled without touching the allocator. Out runs are keyed
   // by stride (one entry per distinct out-slot count ever used — in
@@ -535,7 +599,7 @@ class DynamicGraph {
   std::vector<std::uint32_t> in_free_[kInClassCount];
   std::uint32_t first_in_cap_ = kMinInChunk;  // reserve()'s chunk-size hint
 
-  std::vector<std::uint32_t> alive_slots_;
+  Arena<std::uint32_t> alive_slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_birth_seq_ = 0;
   std::uint64_t edge_count_ = 0;

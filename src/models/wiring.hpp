@@ -66,6 +66,42 @@ inline NodeId draw_target(const DynamicGraph& graph, Rng& rng, NodeId owner,
 /// of stack scratch cover the common d in one tile.
 inline constexpr std::uint32_t kWiringTile = 16;
 
+/// Staged draw of one tile for graphs past the arena gate
+/// (DynamicGraph::staged_prefetch), where each draw is a chain of three
+/// dependent misses: alive-list position, slot record, in-list insert
+/// position. Splits random_alive_other into one loop per link, so every
+/// link's misses overlap across the tile: draw all positions (the same RNG
+/// calls in the same order), then load the slots, then the slot records,
+/// then prefetch the insert positions. Kept out of line so the small-graph
+/// path of wire_uniform_tiled compiles as before.
+template <typename SlotAt>
+[[gnu::noinline]] void draw_tile_staged(const DynamicGraph& graph, Rng& rng,
+                                        std::size_t base, std::uint32_t tile,
+                                        const SlotAt& slot_at,
+                                        NodeId* targets) {
+  std::size_t positions[kWiringTile];
+  for (std::uint32_t t = 0; t < tile; ++t) {
+    positions[t] =
+        graph.random_alive_position_other(rng, slot_at(base + t).owner);
+    if (positions[t] != DynamicGraph::kNoAlivePosition) {
+      graph.prefetch_alive_position(positions[t]);
+    }
+  }
+  for (std::uint32_t t = 0; t < tile; ++t) {
+    if (positions[t] == DynamicGraph::kNoAlivePosition) {
+      targets[t] = kInvalidNode;
+      continue;
+    }
+    targets[t].slot = graph.alive_slot_at(positions[t]);
+    graph.prefetch_slot(targets[t].slot);
+  }
+  for (std::uint32_t t = 0; t < tile; ++t) {
+    if (positions[t] == DynamicGraph::kNoAlivePosition) continue;
+    targets[t] = graph.alive_id_at(targets[t].slot);
+  }
+  for (std::uint32_t t = 0; t < tile; ++t) graph.prefetch_in_insert(targets[t]);
+}
+
 /// Unbounded-mode wiring core shared by initial requests and regeneration:
 /// wires slot_at(0..count-1) to uniform random other nodes, a tile at a
 /// time. In unbounded mode a request's target depends only on the alive set
@@ -73,19 +109,25 @@ inline constexpr std::uint32_t kWiringTile = 16;
 /// tile's draws can all be issued (prefetching each target's in-list insert
 /// position) before its edges are written: draw order, edge order and hook
 /// order are identical to the one-at-a-time loop, batching only overlaps
-/// the misses. `slot_at(i)` names the i-th out-slot to fill.
+/// the misses. `slot_at(i)` names the i-th out-slot to fill. Past the arena
+/// gate the draws are staged (draw_tile_staged).
 template <typename SlotAt>
 inline void wire_uniform_tiled(DynamicGraph& graph, Rng& rng,
                                std::size_t count, const SlotAt& slot_at,
                                bool regenerated, const NetworkHooks& hooks,
                                double now) {
   NodeId targets[kWiringTile];
+  const bool staged = graph.staged_prefetch();
   for (std::size_t base = 0; base < count; base += kWiringTile) {
     const auto tile = static_cast<std::uint32_t>(
         std::min<std::size_t>(kWiringTile, count - base));
-    for (std::uint32_t t = 0; t < tile; ++t) {
-      targets[t] = graph.random_alive_other(rng, slot_at(base + t).owner);
-      graph.prefetch_in_insert(targets[t]);
+    if (staged) {
+      draw_tile_staged(graph, rng, base, tile, slot_at, targets);
+    } else {
+      for (std::uint32_t t = 0; t < tile; ++t) {
+        targets[t] = graph.random_alive_other(rng, slot_at(base + t).owner);
+        graph.prefetch_in_insert(targets[t]);
+      }
     }
     for (std::uint32_t t = 0; t < tile; ++t) {
       if (!targets[t].valid()) continue;  // no other node alive

@@ -895,6 +895,30 @@ TEST(AdversarialChurnSpec, RejectsMalformedSpecsWithClearErrors) {
   EXPECT_NE(unknown.find("flashcrowd"), std::string::npos);
 }
 
+TEST(AdversarialChurnSpec, FlashCrowdNeedsAStationaryPopulation) {
+  // Between bursts the population relaxes toward n by e^{-T}; each burst
+  // scales it by 1+f. The pre-burst size is finite only while
+  // (1+f)e^{-T} < 1, i.e. T > ln(1+f).
+  const auto rejects = [](std::string_view text) {
+    std::string error;
+    const bool parsed = ChurnSpec::parse(text, &error).has_value();
+    EXPECT_FALSE(parsed) << text;
+    EXPECT_NE(error.find("no stationary population"), std::string::npos)
+        << text << ": " << error;
+  };
+  // f = 1: the boundary is T = ln 2 = 0.6931...
+  rejects("flashcrowd(1,0.693)");  // 2e^{-0.693} = 1.00015
+  EXPECT_TRUE(ChurnSpec::parse("flashcrowd(1,0.694)").has_value());
+  // T = 1: the boundary is f = e - 1 = 1.71828...
+  rejects("flashcrowd(1.7183,1)");  // 2.7183e^{-1} = 1.0000066
+  EXPECT_TRUE(ChurnSpec::parse("flashcrowd(1.7182,1)").has_value());
+  // The regime that ran away to 30x its n under PDGR before this check.
+  rejects("flashcrowd(2,1)");
+  // The shipped resilience regimes stay valid.
+  EXPECT_TRUE(ChurnSpec::parse("flashcrowd(0.25,1)").has_value());
+  EXPECT_TRUE(ChurnSpec::parse("flashcrowd").has_value());
+}
+
 TEST(AdversarialChurnSpecDeathTest, IncompatibleModelSpecPairsAbort) {
   const ScenarioRegistry& registry = ScenarioRegistry::paper();
   // Streaming models accept adversarial specs but not burst regimes (the

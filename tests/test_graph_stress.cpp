@@ -17,18 +17,27 @@
 // residual free-list high-water growth), a steady-state churn window on
 // both streaming and Poisson models must perform ZERO heap allocations —
 // including with a ChangeFeed attached and cleared per round (delta
-// recording reuses the feed's capacity).
+// recording reuses the feed's capacity). Huge-page arena mappings
+// (graph/arena_allocator.hpp) bypass operator new, so the check counts
+// them too; one case runs above the arena gate, where they back the graph.
+//
+// Part 3 pins the warmed snapshots of SDG, SDGR and PDGR above the arena
+// gate (where remove_node and the wiring tiles run their staged prefetch
+// passes) to digests recorded before those passes existed: the hints must
+// not change a byte.
 #include "graph/dynamic_graph.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "graph/arena_allocator.hpp"
 #include "graph/change_feed.hpp"
 #include "models/poisson_network.hpp"
 #include "models/streaming_network.hpp"
@@ -41,6 +50,12 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+
+/// Every way the process can take memory: operator new calls plus arena
+/// mappings.
+std::uint64_t allocation_events() {
+  return g_allocations.load() + churnet::arena_mapping_count();
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -284,9 +299,9 @@ TEST(GraphAllocation, StreamingChurnLoopIsAllocationFree) {
   // steady-state high-water capacities.
   net.run_rounds(2ull * config.n);
 
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = allocation_events();
   net.run_rounds(4ull * config.n);
-  const std::uint64_t during = g_allocations.load() - before;
+  const std::uint64_t during = allocation_events() - before;
   EXPECT_EQ(during, 0u)
       << during << " heap allocations in the steady-state streaming loop";
 }
@@ -310,13 +325,13 @@ TEST(GraphAllocation, StreamingChurnWithChangeFeedIsAllocationFree) {
     net.step();
   }
 
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = allocation_events();
   for (std::uint64_t round = 0; round < 4ull * config.n; ++round) {
     feed.clear();
     net.step();
     ASSERT_FALSE(feed.empty());  // every streaming round churns
   }
-  const std::uint64_t during = g_allocations.load() - before;
+  const std::uint64_t during = allocation_events() - before;
   EXPECT_EQ(during, 0u)
       << during << " heap allocations while recording the change feed";
   net.attach_change_feed(nullptr);
@@ -329,11 +344,92 @@ TEST(GraphAllocation, PoissonChurnLoopIsAllocationFree) {
   net.warm_up();
   net.run_events(20000);  // conditioning window
 
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = allocation_events();
   net.run_events(20000);
-  const std::uint64_t during = g_allocations.load() - before;
+  const std::uint64_t during = allocation_events() - before;
   EXPECT_EQ(during, 0u)
       << during << " heap allocations in the steady-state Poisson loop";
+}
+
+TEST(GraphAllocation, StreamingChurnAboveArenaGateIsAllocationFree) {
+  // n = 6e4, d = 8 reserves a 5.8 MB in-pool: the arenas are huge-page
+  // mappings and the churn loop runs the staged prefetch passes.
+  StreamingConfig config;
+  config.n = 60000;
+  config.d = 8;
+  config.policy = EdgePolicy::kRegenerate;
+  config.seed = 7;
+  StreamingNetwork net(config);
+  ASSERT_TRUE(net.graph().staged_prefetch());
+  net.warm_up();
+  net.run_rounds(2ull * config.n);  // conditioning window, as above
+
+  const std::uint64_t before = allocation_events();
+  net.run_rounds(4ull * config.n);
+  const std::uint64_t during = allocation_events() - before;
+  EXPECT_EQ(during, 0u) << during
+                        << " allocations or arena mappings in the "
+                           "steady-state streaming loop above the gate";
+  EXPECT_TRUE(net.graph().check_consistency());
+}
+
+// ---- part 3: staged prefetch leaves the bytes alone -------------------------
+
+/// FNV-1a over every observable of a snapshot: ids, birth seqs, ages (as
+/// bits) and each node's neighbor list in order.
+std::uint64_t snapshot_digest(const Snapshot& snap) {
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto add = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  add(snap.node_count());
+  for (std::uint32_t i = 0; i < snap.node_count(); ++i) {
+    const NodeId id = snap.node_id(i);
+    add(id.slot);
+    add(id.generation);
+    add(snap.birth_seq(i));
+    const double age = snap.age(i);
+    std::uint64_t age_bits = 0;
+    std::memcpy(&age_bits, &age, sizeof(age_bits));
+    add(age_bits);
+    add(snap.degree(i));
+    for (const std::uint32_t neighbor : snap.neighbors(i)) add(neighbor);
+  }
+  return hash;
+}
+
+TEST(StagedPrefetch, WarmedStreamingSnapshotsMatchSinglePassDigests) {
+  // Digests recorded with the single-pass remove_node and wiring loops.
+  const struct {
+    EdgePolicy policy;
+    std::uint64_t digest;
+  } cases[] = {{EdgePolicy::kNone, 0x83612f173042f925ull},
+               {EdgePolicy::kRegenerate, 0x4c8aa56023ee2ee5ull}};
+  for (const auto& c : cases) {
+    StreamingConfig config;
+    config.n = 60000;
+    config.d = 8;
+    config.policy = c.policy;
+    config.seed = 11;
+    StreamingNetwork net(config);
+    ASSERT_TRUE(net.graph().staged_prefetch());
+    net.warm_up();
+    EXPECT_TRUE(net.graph().check_consistency());
+    EXPECT_EQ(snapshot_digest(net.snapshot()), c.digest)
+        << "policy " << static_cast<int>(c.policy);
+  }
+}
+
+TEST(StagedPrefetch, WarmedPdgrSnapshotMatchesSinglePassDigest) {
+  PoissonNetwork net(
+      PoissonConfig::with_n(60000, 8, EdgePolicy::kRegenerate, 11));
+  ASSERT_TRUE(net.graph().staged_prefetch());
+  net.warm_up();
+  EXPECT_TRUE(net.graph().check_consistency());
+  EXPECT_EQ(snapshot_digest(net.snapshot()), 0xc70a8c7cbbc7c88dull);
 }
 
 }  // namespace

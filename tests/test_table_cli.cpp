@@ -1,10 +1,14 @@
-// Tests for common/table.hpp and common/cli.hpp.
+// Tests for common/table.hpp, common/cli.hpp and the CLIs' scenario check
+// (engine/spec_catalog.hpp).
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "engine/scenario.hpp"
+#include "engine/spec_catalog.hpp"
+#include "engine/sweep_runner.hpp"
 
 namespace churnet {
 namespace {
@@ -163,6 +167,40 @@ TEST_F(CliTest, Uint64RejectsNegativeValuesAndKeepsWideOnes) {
   const char* argv_zero[] = {"prog", "--n=0"};
   ASSERT_TRUE(zero.parse(2, argv_zero));
   EXPECT_EQ(zero.get_uint64("n"), 0u);
+}
+
+// churnet_sweep and churnet_repro check every scenario name with
+// require_resolvable_scenarios before any job starts: a bad churn argument
+// is a usage error (exit 2 with the diagnostic), not an abort (134) from
+// inside ScenarioRegistry::resolve.
+TEST(ScenarioCheck, BadChurnArgumentsExitTwoBeforeAnyJob) {
+  const struct {
+    const char* scenario;
+    const char* reason;
+  } cases[] = {
+      {"PDGR+massfail(2,1)", "massfail fraction must be in \\(0,1\\)"},
+      {"PDGR+pareto(1)", "pareto tail index must be > 1"},
+      {"PDGR+weibull(0)", "weibull shape must be > 0"},
+      {"SDG+maxdeg(2)", "maxdeg budget must be in \\[0,1\\]"},
+      {"PDGR+flashcrowd(2,1)", "no stationary population"},
+      {"PDGR+zipf(2)", "unknown churn regime 'zipf'"},
+      {"SDGR+pareto(2.5)", "streaming models take only"},
+      {"NOPE+pareto(2.5)", "unknown scenario 'NOPE'"},
+  };
+  for (const auto& c : cases) {
+    SweepSpec spec;
+    spec.scenarios = {"PDGR", c.scenario};
+    EXPECT_EXIT(require_resolvable_scenarios(
+                    spec, ScenarioRegistry::extended(), "invalid sweep spec"),
+                ::testing::ExitedWithCode(2),
+                std::string("invalid sweep spec: .*") + c.reason)
+        << c.scenario;
+  }
+  SweepSpec good;
+  good.scenarios = {"PDGR", "SDGR+maxdeg(1)", "PDGR+flashcrowd(0.25,1)",
+                    "PDGR+pareto(2.5)+push(3)"};
+  EXPECT_FALSE(good.scenario_error(ScenarioRegistry::extended()).has_value());
+  require_resolvable_scenarios(good, ScenarioRegistry::extended(), "ok");
 }
 
 }  // namespace

@@ -149,6 +149,13 @@ int main(int argc, char** argv) {
   }
 
   const bool quick = cli.get_flag("quick");
+  // Every selected target's grid must resolve before the first job runs,
+  // so a bad scenario name cannot leave a half-written results directory.
+  for (const ReproTarget* target : selected) {
+    require_resolvable_scenarios(quick ? target->quick : target->full,
+                                 ScenarioRegistry::extended(),
+                                 target->name.c_str());
+  }
   const bool quiet = cli.get_flag("quiet");
   const std::uint64_t seed = cli.get_uint64("seed");
   const std::filesystem::path checkpoint_dir(cli.get_string("checkpoint"));

@@ -242,6 +242,8 @@ int main(int argc, char** argv) {
     print_spec_catalogs(std::cerr);
     return 1;
   }
+  require_resolvable_scenarios(spec, ScenarioRegistry::extended(),
+                               "invalid sweep spec");
 
   if (!cli.get_flag("quiet")) {
     std::printf("sweep: %zu scenario(s) x %zu protocol(s) x %zu n x %zu d "
